@@ -11,12 +11,13 @@ Commands:
 - ``explain`` — plan a join against the demo session; ``--analyze``
   additionally executes it and prints the per-node predicted-vs-actual
   cost table (Equations 5-8 vs observed);
-- ``bench`` — wall-clock serial-vs-parallel benchmark of the join
-  engine (see :mod:`repro.bench.wallclock`);
 - ``monitor URL`` — snapshot (or ``--watch``) a running
   :class:`repro.serve.server.JoinServer` monitor endpoint: condensed
   ``/statz`` serving stats with rolling-window latency, or the raw
   Prometheus ``/metrics`` exposition with ``--metrics``.
+
+The engine's wall-clock benchmark is not a command here; it is
+``benchmarks/e2e`` (``PYTHONPATH=src python -m benchmarks.e2e``).
 
 ``demo`` and ``query`` accept ``--workers N`` to execute joins on a
 worker pool (N > 1) instead of the serial per-unit path, and
@@ -191,93 +192,6 @@ def cmd_monitor(args: argparse.Namespace) -> int:
         time.sleep(args.watch)
 
 
-def cmd_bench(args: argparse.Namespace) -> int:
-    from repro.bench.wallclock import main as wallclock_main
-
-    forwarded: list[str] = []
-    for workload in args.workload or []:
-        forwarded += ["--workload", workload]
-    forwarded += [
-        "--planner", args.planner,
-        "--workers", str(args.workers),
-        "--cells", str(args.cells),
-        "--nodes", str(args.nodes),
-        "--alpha", str(args.alpha),
-        "--repeats", str(args.repeats),
-        "--seed", str(args.seed),
-        "--stress-units", str(args.stress_units),
-        "--stress-nodes", str(args.stress_nodes),
-        "--stress-alpha", str(args.stress_alpha),
-        "--serving-repeats", str(args.serving_repeats),
-        "--serving-planner", args.serving_planner,
-        "--cache-capacity", str(args.cache_capacity),
-        "--multicore-planner", args.multicore_planner,
-        "--skew-workers", str(args.skew_workers),
-        "--load-requests", str(args.load_requests),
-        "--load-tenants", str(args.load_tenants),
-        "--load-tenant-alpha", str(args.load_tenant_alpha),
-        "--load-statement-alpha", str(args.load_statement_alpha),
-        "--load-inflight", str(args.load_inflight),
-        "--load-queue-depth", str(args.load_queue_depth),
-        "--load-open-rate", str(args.load_open_rate),
-        "--load-open-requests", str(args.load_open_requests),
-        "--multiway-workers", str(args.multiway_workers),
-        "--multiway-cells", str(args.multiway_cells),
-        "--multiway-planner", args.multiway_planner,
-    ]
-    forwarded += ["--multiway-shapes"] + list(args.multiway_shapes)
-    forwarded += ["--multiway-arrays"] + [
-        str(count) for count in args.multiway_arrays
-    ]
-    forwarded += ["--multiway-alphas"] + [
-        str(alpha) for alpha in args.multiway_alphas
-    ]
-    forwarded += ["--load-clients"] + [
-        str(count) for count in args.load_clients
-    ]
-    forwarded += ["--multicore-workers"] + [
-        str(count) for count in args.multicore_workers
-    ]
-    forwarded += ["--skew-alphas"] + [
-        str(alpha) for alpha in args.skew_alphas
-    ]
-    if args.out:
-        forwarded += ["--out", args.out]
-    if args.trace_dir:
-        forwarded += ["--trace-dir", args.trace_dir]
-    if args.skip_exec:
-        forwarded.append("--skip-exec")
-    if args.prepare:
-        forwarded.append("--prepare")
-    if args.stress:
-        forwarded.append("--stress")
-    if args.keys:
-        forwarded.append("--keys")
-    if args.serving:
-        forwarded.append("--serving")
-    if args.multicore:
-        forwarded.append("--multicore")
-    if args.skew:
-        forwarded.append("--skew")
-    if args.serving_load:
-        forwarded.append("--serving-load")
-    if args.load_no_coalesce:
-        forwarded.append("--load-no-coalesce")
-    if args.multiway:
-        forwarded.append("--multiway")
-    if args.telemetry:
-        forwarded.append("--telemetry")
-    forwarded += [
-        "--telemetry-clients", str(args.telemetry_clients),
-        "--telemetry-requests", str(args.telemetry_requests),
-        "--telemetry-repeats", str(args.telemetry_repeats),
-        "--telemetry-sample", str(args.telemetry_sample),
-    ]
-    if args.telemetry_dir:
-        forwarded += ["--telemetry-dir", args.telemetry_dir]
-    return wallclock_main(forwarded)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro",
@@ -344,128 +258,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="with --analyze: also write the Chrome trace JSON",
     )
     explain.set_defaults(func=cmd_explain)
-
-    bench = sub.add_parser(
-        "bench", help="wall-clock serial-vs-parallel join benchmark"
-    )
-    bench.add_argument(
-        "--workload", action="append", default=None,
-        help="workload to run, repeatable (default: both skew workloads)",
-    )
-    bench.add_argument("--planner", default="baseline")
-    bench.add_argument("--workers", type=int, default=4)
-    bench.add_argument("--cells", type=int, default=150_000)
-    bench.add_argument("--nodes", type=int, default=12)
-    bench.add_argument("--alpha", type=float, default=1.0)
-    bench.add_argument("--repeats", type=int, default=5)
-    bench.add_argument("--seed", type=int, default=0)
-    bench.add_argument("--out", default=None, help="write JSON here")
-    bench.add_argument(
-        "--trace-dir", default=None, metavar="DIR",
-        help="also run each workload traced: write Chrome trace JSON per "
-        "workload into DIR and record the instrumentation overhead",
-    )
-    bench.add_argument(
-        "--skip-exec", action="store_true",
-        help="skip the serial-vs-parallel execution comparison",
-    )
-    bench.add_argument(
-        "--prepare", action="store_true",
-        help="also time the prepare pipeline, vectorized vs reference",
-    )
-    bench.add_argument(
-        "--stress", action="store_true",
-        help="also race vectorized vs reference Tabu on a large instance",
-    )
-    bench.add_argument("--stress-units", type=int, default=8192)
-    bench.add_argument("--stress-nodes", type=int, default=16)
-    bench.add_argument("--stress-alpha", type=float, default=1.1)
-    bench.add_argument(
-        "--keys", action="store_true",
-        help="compare packed vs structured composite keys per workload",
-    )
-    bench.add_argument(
-        "--serving", action="store_true",
-        help="repeated-query serving mode: cold vs warm (plan-cached) latency",
-    )
-    bench.add_argument("--serving-repeats", type=int, default=15)
-    bench.add_argument("--serving-planner", default="tabu")
-    bench.add_argument("--cache-capacity", type=int, default=32)
-    bench.add_argument(
-        "--multicore", action="store_true",
-        help="sweep worker counts x parallel modes x kernels per workload "
-        "(thread pool vs shared-memory process workers)",
-    )
-    bench.add_argument(
-        "--multicore-workers", type=int, nargs="+", default=[1, 2, 4, 8],
-    )
-    bench.add_argument("--multicore-planner", default="tabu")
-    bench.add_argument(
-        "--skew", action="store_true",
-        help="alpha sweep x split_units modes (off/static/adaptive) on the "
-        "shared-memory process path",
-    )
-    bench.add_argument(
-        "--skew-alphas", type=float, nargs="+", default=[0.5, 1.0, 1.5, 2.0],
-    )
-    bench.add_argument("--skew-workers", type=int, default=8)
-    bench.add_argument(
-        "--serving-load", action="store_true",
-        help="concurrent serving-load harness: closed-loop client sweep "
-        "plus a fixed-rate open-loop run through a JoinServer",
-    )
-    bench.add_argument(
-        "--load-clients", type=int, nargs="+", default=[1, 2, 4, 8],
-        help="closed-loop client counts for the --serving-load sweep",
-    )
-    bench.add_argument("--load-requests", type=int, default=25)
-    bench.add_argument("--load-tenants", type=int, default=4)
-    bench.add_argument("--load-tenant-alpha", type=float, default=1.2)
-    bench.add_argument("--load-statement-alpha", type=float, default=2.5)
-    bench.add_argument(
-        "--load-inflight", type=int, default=0,
-        help="JoinServer max_in_flight (0 = auto from cpu count)",
-    )
-    bench.add_argument("--load-queue-depth", type=int, default=8)
-    bench.add_argument("--load-no-coalesce", action="store_true")
-    bench.add_argument(
-        "--load-open-rate", type=float, default=0.0,
-        help="open-loop arrival rate in q/s (0 = 1.5x best closed-loop q/s)",
-    )
-    bench.add_argument(
-        "--load-open-requests", type=int, default=40,
-        help="open-loop request count (0 skips the open-loop run)",
-    )
-    bench.add_argument(
-        "--multiway", action="store_true",
-        help="N-way pipeline mode: parallel stages vs serial and warm "
-        "(pipeline-cached) vs cold, per shape x stage count x alpha",
-    )
-    bench.add_argument(
-        "--multiway-shapes", choices=("chain", "star"), nargs="+",
-        default=["chain"],
-    )
-    bench.add_argument("--multiway-arrays", type=int, nargs="+", default=[4])
-    bench.add_argument(
-        "--multiway-alphas", type=float, nargs="+", default=[0.0, 1.0],
-    )
-    bench.add_argument("--multiway-workers", type=int, default=4)
-    bench.add_argument("--multiway-cells", type=int, default=4_000)
-    bench.add_argument("--multiway-planner", default="tabu")
-    bench.add_argument(
-        "--telemetry", action="store_true",
-        help="telemetry-overhead mode: warm serving throughput bare vs "
-        "fully instrumented (monitor + query log + sampled tracing)",
-    )
-    bench.add_argument("--telemetry-clients", type=int, default=4)
-    bench.add_argument("--telemetry-requests", type=int, default=25)
-    bench.add_argument("--telemetry-repeats", type=int, default=3)
-    bench.add_argument("--telemetry-sample", type=int, default=100)
-    bench.add_argument(
-        "--telemetry-dir", default=None, metavar="DIR",
-        help="write the --telemetry query log and scraped exposition here",
-    )
-    bench.set_defaults(func=cmd_bench)
 
     monitor = sub.add_parser(
         "monitor",

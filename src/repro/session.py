@@ -164,8 +164,15 @@ class Session:
         cells: CellSet,
         placement: PlacementPolicy = "round_robin",
     ) -> int:
-        """Insert cells into a declared array; returns cells loaded."""
-        return self.cluster.insert_cells(name, cells, placement=placement)
+        """Insert cells into a declared array; returns cells loaded.
+
+        The load bumps the array's version, so no cached plan over the
+        old version can hit again: purge them now rather than leave them
+        to LRU pressure.
+        """
+        loaded = self.cluster.insert_cells(name, cells, placement=placement)
+        self.executor.invalidate_cached_plans(name)
+        return loaded
 
     def create_and_load(
         self,
@@ -184,8 +191,13 @@ class Session:
         return self.cluster.catalog.array_names()
 
     def rebalance(self, name: str):
-        """Re-level one array's storage; returns the simulated schedule."""
-        return self.cluster.rebalance(name)
+        """Re-level one array's storage; returns the simulated schedule.
+
+        Like :meth:`load`, purges the plans superseded by the new version.
+        """
+        schedule = self.cluster.rebalance(name)
+        self.executor.invalidate_cached_plans(name)
+        return schedule
 
     def validate(self, name: str) -> list[str]:
         """Catalog ↔ storage integrity check; empty list means healthy."""

@@ -11,8 +11,7 @@ plan-affecting, so it must separate plan-cache fingerprints.
 import numpy as np
 import pytest
 
-from repro.bench.experiments import make_cluster
-from repro.bench.wallclock import HASH_QUERY, MERGE_QUERY
+from repro.bench.experiments import HASH_QUERY, MERGE_QUERY, make_cluster
 from repro.engine import ShuffleJoinExecutor
 from repro.engine.parallel import shutdown_pools
 from repro.errors import ExecutionError
@@ -93,6 +92,9 @@ class TestSplitUnsplitEquivalence:
         reference = _executor(hash_cluster, 0.0001, n_buckets=1024).execute(
             HASH_QUERY, planner=planner, join_algo="hash"
         )
+        # The codec must engage on the skewed hash keys, or the run-time
+        # re-splitter (packed columns only) has nothing to work on.
+        assert reference.report.meta.get("packed_keys") is True
         expected = sorted_cell_bytes(reference)
         for split, mode, workers in CONFIGS:
             executor = _executor(

@@ -70,6 +70,10 @@ class TestTracedExecution:
             1 for e in payload["traceEvents"] if e["ph"] == "X"
         )
         assert n_complete == len(result.trace)
+        lanes = {
+            e["args"]["name"] for e in payload["traceEvents"] if e["ph"] == "M"
+        }
+        assert any(lane.startswith("net:recv n") for lane in lanes)
 
     def test_parallel_execution_records_worker_batches(self, executor):
         result = executor.execute(
@@ -80,6 +84,9 @@ class TestTracedExecution:
         ]
         assert batches
         assert all(s.lane.startswith("worker:n") for s in batches)
+        exported = result.trace.chrome_trace()["traceEvents"]
+        lanes = {e["args"]["name"] for e in exported if e["ph"] == "M"}
+        assert any(lane.startswith("worker:n") for lane in lanes)
         nested = {s.name for s in result.trace.spans if "/" in s.path}
         assert "match" in nested and "materialise" in nested
 

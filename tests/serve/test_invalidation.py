@@ -44,7 +44,8 @@ class TestWarmPath:
         third = run(session)
         assert cache_status(second) == "hit"
         assert cache_status(third) == "hit"
-        assert session.plan_cache.stats()["hits"] == 2
+        stats = session.plan_cache.stats()
+        assert (stats["misses"], stats["hits"], stats["entries"]) == (1, 2, 1)
 
     def test_noop_statements_keep_hit(self, session):
         cold = run(session)
@@ -94,7 +95,24 @@ class TestInvalidation:
     def test_rebalance_misses(self, session):
         run(session)
         session.rebalance("A")
+        assert session.plan_cache.stats()["entries"] == 0  # eager purge
         assert cache_status(run(session)) == "miss"
+
+    def test_loads_purge_superseded_plans(self, session):
+        """Every load bumps A's version, so the plans over older versions
+        can never hit again: only current-version entries may remain,
+        and a plan that does not read A keeps hitting."""
+        session.create_and_load(
+            "C<v:int64>[i=1,64,8, j=1,64,8]", sample_cells(5)
+        )
+        other = "SELECT B.v, C.v FROM B JOIN C ON B.i = C.i AND B.j = C.j"
+        session.execute(other, planner="tabu")
+        for seed in range(7, 12):
+            run(session)
+            session.load("A", sample_cells(seed, n=120))
+        assert cache_status(run(session)) == "miss"
+        assert session.plan_cache.stats()["entries"] == 2
+        assert cache_status(session.execute(other, planner="tabu")) == "hit"
 
     def test_drop_restore_misses(self, session, tmp_path):
         cold = run(session)

@@ -335,13 +335,16 @@ class TestServerTelemetryIntegration:
 
 
 class TestScrapeUnderLoad:
-    def test_closed_loop_with_monitor_scrapes_validly(self, session):
+    def test_closed_loop_with_monitor_scrapes_validly(self, session, tmp_path):
         from repro.serve.load import QueryMix, run_closed_loop
 
         mix = QueryMix(
             statements=[MERGE_QUERY], tenants=["a", "b"], seed=3
         )
-        with JoinServer(session, max_in_flight=2) as server:
+        log_path = tmp_path / "queries.jsonl"
+        with JoinServer(
+            session, max_in_flight=2, query_log=str(log_path), trace_sample=1,
+        ) as server:
             with server.monitor() as monitor:
                 report = run_closed_loop(
                     server, mix, clients=2, requests_per_client=5,
@@ -350,3 +353,13 @@ class TestScrapeUnderLoad:
         assert report.completed == 10
         assert report.scrapes >= 1
         assert report.scrape_errors == []
+        # Scraping under load loses no query-log record, and the log's
+        # sampled flags agree with the sampler (coalesced followers are
+        # logged but never sampled).
+        records = [
+            json.loads(line) for line in log_path.read_text().splitlines()
+        ]
+        assert len(records) == report.completed
+        sampled = server.stats()["telemetry"]["sampled"]
+        assert 0 < sampled <= report.completed
+        assert sum(record["sampled"] for record in records) == sampled

@@ -66,6 +66,8 @@ class TestWarmEqualsCold:
         assert len(cold.stage_results) == len(cold.plan.steps)
         assert len(warm.stage_results) == 1
         assert warm.report.meta["stages_cached"] == len(cold.plan.steps)
+        stats = session.plan_cache.stats()
+        assert (stats["misses"], stats["hits"], stats["entries"]) == (1, 1, 1)
 
         cold_bytes = sorted_cell_bytes(cold)
         assert sorted_cell_bytes(warm) == cold_bytes
