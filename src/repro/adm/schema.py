@@ -12,7 +12,7 @@ Attributes are typed scalar values stored in each occupied cell.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -276,9 +276,6 @@ class ArraySchema:
     def with_attrs(self, attrs: Iterable[Attribute]) -> "ArraySchema":
         return replace(self, attrs=tuple(attrs))
 
-    def with_dims(self, dims: Iterable[Dimension]) -> "ArraySchema":
-        return replace(self, dims=tuple(dims))
-
     def to_literal(self) -> str:
         """Render the SciDB-style schema literal."""
         attrs = ", ".join(a.to_literal() for a in self.attrs)
@@ -287,12 +284,3 @@ class ArraySchema:
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return self.to_literal()
-
-
-def schema_from_fields(
-    name: str,
-    dims: Sequence[Dimension],
-    attrs: Sequence[Attribute],
-) -> ArraySchema:
-    """Convenience constructor used by planners when deriving schemas."""
-    return ArraySchema(name=name, dims=tuple(dims), attrs=tuple(attrs))

@@ -329,20 +329,3 @@ def run_ablation_join_order(
             "model_cost", "execute_s", "intermediate_cells", "output_cells",
         ],
     )
-
-
-def main() -> None:  # pragma: no cover - manual entry point
-    for runner in (
-        run_ablation_shuffle_policy,
-        run_ablation_tabu_list,
-        run_ablation_bucket_count,
-        run_ablation_coarse_bins,
-        run_ablation_join_order,
-    ):
-        result = runner()
-        print(result.table())
-        print()
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

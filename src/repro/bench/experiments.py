@@ -488,25 +488,3 @@ def run_fig10_scale_out(
         label_keys=["planner", "nodes"],
         value_keys=["plan_s", "align_s", "compare_s", "total_s", "cells_moved"],
     )
-
-
-def main() -> None:  # pragma: no cover - manual entry point
-    """Run every experiment and print its table (slow)."""
-    for runner in (
-        run_fig5_fig6,
-        run_fig7_merge_skew,
-        run_fig8_hash_skew,
-        run_tab2_model_verification,
-        run_fig9_beneficial_skew,
-        run_adversarial_skew,
-        run_fig10_scale_out,
-    ):
-        result = runner()
-        print(result.table())
-        if result.summary:
-            print("summary:", result.summary)
-        print()
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -4,7 +4,7 @@ Regenerates an EXPERIMENTS-style results file from live runs, so a
 reproduction on new hardware (or after a code change) can diff its
 numbers against the committed record::
 
-    python -m repro report --out results.md --experiments fig7 fig9
+    python -m repro report --out results.md fig7 fig9
 """
 
 from __future__ import annotations

@@ -52,9 +52,6 @@ class ArrayEntry:
     def n_chunks(self) -> int:
         return len(self.chunk_locations)
 
-    def nodes_used(self) -> set[int]:
-        return set(self.chunk_locations.values())
-
     def bump_version(self) -> None:
         self.version += 1
 
@@ -100,16 +97,6 @@ class SystemCatalog:
 
     def array_names(self) -> list[str]:
         return sorted(self._arrays)
-
-    def version_token(self, name: str) -> tuple[int, int]:
-        """One array's (incarnation uid, data version) pair.
-
-        The pair changes whenever the array's contents could have: loads,
-        rebalances, and restores bump ``version``; DROP + CREATE starts a
-        new incarnation with a fresh ``uid``. Plan fingerprints embed it.
-        """
-        entry = self.entry(name)
-        return (entry.uid, entry.version)
 
     def record_chunk(self, array_name: str, chunk_id: int, node_id: int) -> None:
         self.entry(array_name).chunk_locations[chunk_id] = node_id

@@ -283,10 +283,6 @@ class Cluster:
     def array_cell_count(self, name: str) -> int:
         return sum(node.local_cell_count(name) for node in self.nodes)
 
-    def array_version(self, name: str) -> tuple[int, int]:
-        """The catalog's (incarnation uid, data version) for one array."""
-        return self.catalog.version_token(name)
-
     def storage_epoch(self, name: str) -> int:
         """Summed storage-level write counters across all node partitions.
 

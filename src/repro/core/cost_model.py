@@ -163,15 +163,6 @@ class AnalyticalCostModel:
             transmit_cost=self.params.t,
         )
 
-    def per_node_costs(self, assignment: np.ndarray) -> np.ndarray:
-        """Tabu's per-node view: each node's own align + compare cost.
-
-        Algorithm 2 evaluates Equations 5-7 "considering a single j at a
-        time" instead of taking the max across the cluster.
-        """
-        send, recv, compare = self.node_totals(assignment)
-        return np.maximum(send, recv) * self.params.t + compare
-
     # ------------------------------------------------- incremental evaluation
 
     def move_delta(

@@ -113,9 +113,6 @@ class _TopTracker:
         if len(entries) < min(3, len(self.values)):
             self._rescan()
 
-    def top3(self) -> list[tuple[float, int]]:
-        return self._entries[:3]
-
     def max_excluding_vector(self, source: int, n: int) -> np.ndarray:
         """For every target t: max of the vector excluding {source, t}.
 

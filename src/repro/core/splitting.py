@@ -58,10 +58,6 @@ class SplitPlan:
     n_units: int = 0
 
     @property
-    def n_parent_units(self) -> int:
-        return len(self.offsets)
-
-    @property
     def units_split(self) -> int:
         return len(self.thresholds)
 

@@ -824,23 +824,6 @@ def _attached_arena(layout: ArenaLayout) -> SharedArena:
     return arena
 
 
-def _concat_ranges(
-    lo: np.ndarray, hi: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Concatenate ``[lo[i], hi[i])`` ranges into one index array.
-
-    Returns ``(rows, counts)`` — the vectorised equivalent of
-    ``np.concatenate([np.arange(l, h) for l, h in zip(lo, hi)])``.
-    """
-    counts = hi - lo
-    total = int(counts.sum())
-    if total == 0:
-        return np.empty(0, dtype=np.int64), counts
-    offsets = np.concatenate(([0], np.cumsum(counts)[:-1]))
-    rows = np.repeat(lo - offsets, counts) + np.arange(total, dtype=np.int64)
-    return rows, counts
-
-
 def execute_shm_batch(task: ShmTask) -> ShmBatchResult:
     """Match one chunk's unit range against the shared arena (worker).
 

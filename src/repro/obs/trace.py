@@ -319,12 +319,6 @@ class Tracer:
             for span in self.spans
         ]
 
-    def write_jsonl(self, path) -> int:
-        with open(path, "w", encoding="utf-8") as handle:
-            for line in self.jsonl_lines():
-                handle.write(line + "\n")
-        return len(self)
-
 
 #: Shared always-off tracer for call sites that want a safe default.
 #: Disabled tracers record nothing, so sharing one instance is safe.

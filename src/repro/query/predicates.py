@@ -73,15 +73,6 @@ class JoinPredicate:
             return PredicateKind.ATTR_DIM
         return PredicateKind.DIM_ATTR
 
-    def oriented(self, left_schema: ArraySchema, right_schema: ArraySchema) -> "JoinPredicate":
-        """Return this predicate with sides bound to the given schemas.
-
-        Validates that each side resolves in its schema; raises otherwise.
-        """
-        self.left.resolve_kind(left_schema)
-        self.right.resolve_kind(right_schema)
-        return self
-
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return f"{self.left} = {self.right}"
 

@@ -3,11 +3,11 @@
 See :mod:`repro.serve.cache` for the bounded-LRU :class:`PlanCache`,
 :mod:`repro.serve.fingerprint` for the content fingerprints that key it,
 :mod:`repro.serve.server` for the admission-controlled
-:class:`JoinServer` front end, :mod:`repro.serve.load` for the
-closed-/open-loop load generator that drives it, and
-:mod:`repro.serve.monitor` for the telemetry plane (the HTTP
-``/metrics``/``/healthz``/``/statz`` monitor, trace sampling, and
-slow-query capture).
+:class:`JoinServer` front end, and :mod:`repro.serve.monitor` for the
+telemetry plane (the HTTP ``/metrics``/``/healthz``/``/statz`` monitor,
+trace sampling, and slow-query capture). The ``serve_mixed`` and
+``serve_churn`` workloads of ``benchmarks/e2e`` drive the front end
+under load.
 """
 
 from repro.serve.cache import CachedPipeline, CachedPlan, CachedStage, PlanCache
@@ -16,14 +16,6 @@ from repro.serve.fingerprint import (
     array_token,
     canonical_query,
     plan_fingerprint,
-)
-from repro.serve.load import (
-    LoadReport,
-    QueryMix,
-    result_bytes,
-    run_closed_loop,
-    run_open_loop,
-    serial_references,
 )
 from repro.serve.monitor import (
     MonitorServer,
@@ -50,10 +42,4 @@ __all__ = [
     "plan_fingerprint",
     "JoinServer",
     "tenant_cache_stats",
-    "QueryMix",
-    "LoadReport",
-    "run_closed_loop",
-    "run_open_loop",
-    "serial_references",
-    "result_bytes",
 ]

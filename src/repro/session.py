@@ -203,15 +203,6 @@ class Session:
         """Catalog ↔ storage integrity check; empty list means healthy."""
         return self.cluster.validate_integrity(name)
 
-    def data_version(self, name: str) -> tuple[int, int, int]:
-        """One array's (incarnation uid, data version, storage epoch).
-
-        The triple changes whenever a cached plan over the array could
-        be stale — it is exactly what plan fingerprints embed.
-        """
-        uid, version = self.cluster.array_version(name)
-        return (uid, version, self.cluster.storage_epoch(name))
-
     def describe(self, name: str) -> str:
         """Human-readable summary of one array: schema, layout, skew."""
         schema = self.cluster.schema(name)

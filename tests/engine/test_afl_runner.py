@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
+from repro.cluster.cluster import Cluster
 from repro.engine import ShuffleJoinExecutor
 from repro.engine.afl_runner import AflRunner
-from repro.errors import ExecutionError, ParseError
+from repro.errors import ExecutionError, ParseError, PlanningError
 from repro.query.afl import parse_afl
 
 
@@ -98,14 +99,29 @@ class TestRunnerJoins:
         )
         assert afl_result.n_cells == aql_result.array.n_cells
 
-    def test_hash_join_on_attributes(self, runner, small_cluster):
-        result = runner.run("hashJoin(hash(A, v1), hash(B, v1))")
+    @staticmethod
+    def _attribute_join_cells(cluster) -> int:
         from collections import Counter
 
-        count_a = Counter(small_cluster.array_cells("A").attrs["v1"].tolist())
-        count_b = Counter(small_cluster.array_cells("B").attrs["v1"].tolist())
-        expected = sum(count_a[v] * count_b[v] for v in count_a)
-        assert result.n_cells == expected
+        count_a = Counter(cluster.array_cells("A").attrs["v1"].tolist())
+        count_b = Counter(cluster.array_cells("B").attrs["v1"].tolist())
+        return sum(count_a[v] * count_b[v] for v in count_a)
+
+    def test_hash_join_on_attributes(self, runner, small_cluster):
+        result = runner.run("hashJoin(hash(A, v1), hash(B, v1))")
+        assert result.n_cells == self._attribute_join_cells(small_cluster)
+
+    def test_nested_loop_join_on_attributes(self, runner, dd_pair):
+        statement = "nestedLoopJoin(hash(A, v1), hash(B, v1))"
+        # The physical planners do not model the nested loop join, so the
+        # executor refuses it across nodes and runs it on a single node.
+        with pytest.raises(PlanningError, match="nested loop"):
+            runner.run(statement)
+        single = Cluster(n_nodes=1)
+        for array in dd_pair:
+            single.load_array(array)
+        result = AflRunner(ShuffleJoinExecutor(single)).run(statement)
+        assert result.n_cells == self._attribute_join_cells(single)
 
     def test_temporaries_cleaned_up(self, runner, small_cluster):
         before = set(small_cluster.catalog.array_names())

@@ -336,30 +336,62 @@ class TestServerTelemetryIntegration:
 
 class TestScrapeUnderLoad:
     def test_closed_loop_with_monitor_scrapes_validly(self, session, tmp_path):
-        from repro.serve.load import QueryMix, run_closed_loop
-
-        mix = QueryMix(
-            statements=[MERGE_QUERY], tenants=["a", "b"], seed=3
-        )
         log_path = tmp_path / "queries.jsonl"
+        completed: list = []
+        scrapes: list[int] = []
+        scrape_errors: list[str] = []
+        clients_done = threading.Event()
         with JoinServer(
             session, max_in_flight=2, query_log=str(log_path), trace_sample=1,
         ) as server:
             with server.monitor() as monitor:
-                report = run_closed_loop(
-                    server, mix, clients=2, requests_per_client=5,
-                    monitor=monitor, scrape_interval=0.005,
-                )
-        assert report.completed == 10
-        assert report.scrapes >= 1
-        assert report.scrape_errors == []
+
+                def client(tenant):
+                    for _ in range(5):
+                        completed.append(
+                            server.execute(MERGE_QUERY, tenant=tenant)
+                        )
+
+                def scraper():
+                    # Scrape while the clients run, then once more after
+                    # the last completion so at least one full exposition
+                    # is always checked, however short the run was.
+                    while True:
+                        last = clients_done.is_set()
+                        try:
+                            text = scrape(monitor.url)
+                            scrape_errors.extend(validate_exposition(text))
+                            if "window" not in scrape_statz(monitor.url):
+                                scrape_errors.append("/statz has no window")
+                            scrapes.append(1)
+                        except Exception as exc:  # a finding, not a crash
+                            scrape_errors.append(f"scrape failed: {exc}")
+                        if last:
+                            return
+                        clients_done.wait(0.005)
+
+                scrape_thread = threading.Thread(target=scraper, daemon=True)
+                clients = [
+                    threading.Thread(target=client, args=(tenant,), daemon=True)
+                    for tenant in ("a", "b")
+                ]
+                scrape_thread.start()
+                for thread in clients:
+                    thread.start()
+                for thread in clients:
+                    thread.join(timeout=60)
+                clients_done.set()
+                scrape_thread.join(timeout=60)
+        assert len(completed) == 10
+        assert len(scrapes) >= 1
+        assert scrape_errors == []
         # Scraping under load loses no query-log record, and the log's
         # sampled flags agree with the sampler (coalesced followers are
         # logged but never sampled).
         records = [
             json.loads(line) for line in log_path.read_text().splitlines()
         ]
-        assert len(records) == report.completed
+        assert len(records) == len(completed)
         sampled = server.stats()["telemetry"]["sampled"]
-        assert 0 < sampled <= report.completed
+        assert 0 < sampled <= len(completed)
         assert sum(record["sampled"] for record in records) == sampled

@@ -19,7 +19,7 @@ import pytest
 from repro.adm.cells import CellSet
 from repro.errors import ExecutionError, Overloaded
 from repro.obs.metrics import MetricsRegistry
-from repro.serve import JoinServer, result_bytes, tenant_cache_stats
+from repro.serve import JoinServer, tenant_cache_stats
 from repro.serve.server import REJECTED_OPTIONS
 from repro.session import Session
 
@@ -29,6 +29,17 @@ HASH_QUERY = (
     "FROM A, B WHERE A.v = B.v"
 )
 QUERIES = (MERGE_QUERY, HASH_QUERY)
+
+
+def result_bytes(result) -> bytes:
+    """Canonical byte representation of a join output: sorted cells.
+
+    Parallelism, coalescing, and cache warmth may reorder rows; they
+    must never change the cells, so identity is judged on the sorted
+    structured representation.
+    """
+    packed = result.cells.to_structured(sorted(result.cells.attrs))
+    return np.sort(packed).tobytes()
 
 
 class FakeBackend:
@@ -290,7 +301,7 @@ class TestSessionStorm:
     def session(self):
         return build_session()
 
-    def _serial_references(self, session):
+    def _references(self, session):
         return {
             query: result_bytes(session.execute(query, use_cache=False))
             for query in QUERIES
@@ -298,7 +309,7 @@ class TestSessionStorm:
 
     @pytest.mark.parametrize("coalesce", [True, False])
     def test_storm_is_byte_identical_to_serial(self, session, coalesce):
-        references = self._serial_references(session)
+        references = self._references(session)
         session.executor.plan_cache.clear()
         tenants = ("alpha", "beta", "gamma")
         n_threads, per_thread = 8, 6
