@@ -45,15 +45,17 @@ def test_ablation_bucket_count(benchmark):
         int(row.labels["n_buckets"]): row.values["execute_s"]
         for row in result.rows
     }
-    plan = {
-        int(row.labels["n_buckets"]): row.values["plan_s"]
+    evaluations = {
+        int(row.labels["n_buckets"]): row.values["evaluations"]
         for row in result.rows
     }
     # Finer units let the planner balance comparison better than the
     # coarsest setting...
     assert execute[1024] < execute[64]
-    # ...but planning effort grows with the unit count.
-    assert plan[4096] > plan[64]
+    # ...but planning effort grows with the unit count. Effort is Tabu's
+    # count of candidate moves evaluated: real plan_s at 64 buckets can
+    # lose to interpreter warm-up.
+    assert evaluations[4096] > evaluations[64]
 
 
 def test_ablation_join_order(benchmark):

@@ -144,9 +144,9 @@ def run_ablation_bucket_count(
     """Hash-join performance across join-unit granularities.
 
     Expected shape: very coarse units limit the planner's ability to
-    balance (worse compare max); very fine units pay per-unit overheads
-    and per-transfer latency; the paper's moderate sizing sits in the
-    sweet spot.
+    balance (worse compare max); very fine units pay per-unit overheads,
+    per-transfer latency and planner effort (Tabu's cost evaluations);
+    the paper's moderate sizing sits in the sweet spot.
     """
     array_a, array_b = skewed_hash_pair(
         alpha, cells_per_array=cells_per_array, seed=seed
@@ -159,14 +159,14 @@ def run_ablation_bucket_count(
         executor = ShuffleJoinExecutor(
             cluster, selectivity_hint=0.0001, n_buckets=n_buckets
         )
-        report = executor.execute(
-            HASH_QUERY, planner="tabu", join_algo="hash"
-        ).report
+        result = executor.execute(HASH_QUERY, planner="tabu", join_algo="hash")
+        report = result.report
         rows.append(
             ExperimentRow(
                 {"n_buckets": n_buckets},
                 {
                     "plan_s": report.plan_seconds,
+                    "evaluations": float(result.physical_plan.meta["evaluations"]),
                     "align_s": report.align_seconds,
                     "compare_s": report.compare_seconds,
                     "execute_s": report.execute_seconds,
@@ -177,7 +177,7 @@ def run_ablation_bucket_count(
         name="Ablation: join-unit granularity (hash bucket count)",
         rows=rows,
         label_keys=["n_buckets"],
-        value_keys=["plan_s", "align_s", "compare_s", "execute_s"],
+        value_keys=["plan_s", "evaluations", "align_s", "compare_s", "execute_s"],
     )
 
 

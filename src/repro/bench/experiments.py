@@ -124,7 +124,11 @@ def _report_row(labels: dict, result) -> ExperimentRow:
                 else float("nan")
             ),
         },
-        meta={"afl": report.logical_afl, **report.meta},
+        meta={
+            "afl": report.logical_afl,
+            **report.meta,
+            "plan": dict(result.physical_plan.meta) if result.physical_plan else {},
+        },
     )
 
 

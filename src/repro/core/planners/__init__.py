@@ -10,7 +10,7 @@ and produces a join-unit-to-node assignment:
   gravity, provably minimising cells transmitted;
 - ``tabu`` — Tabu search seeded by MBH, rebalancing overloaded nodes;
 - ``ilp`` — the exact cost model as an integer linear program, solved
-  with a time budget;
+  by HiGHS to a fixed gap, with a time budget as a safety cap;
 - ``ilp_coarse`` — the ILP over center-of-gravity bins (default 75) to
   shrink the decision space.
 """

@@ -40,4 +40,4 @@ class Overloaded(ExecutionError):
 
 
 class SolverError(ReproError):
-    """The MILP solver substrate hit an unrecoverable condition."""
+    """An ILP planner cannot run as configured (a non-positive time budget)."""

@@ -10,6 +10,21 @@ from repro.core.slices import SliceStats
 PARAMS = CostParams(m=1e-6, b=4e-6, p=1e-6, t=5e-6)
 
 
+def check_feasible(problem, x, tol=1e-6):
+    """Verify a candidate vector against every constraint and integrality."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.shape != problem.c.shape:
+        return False
+    if (problem.a_ub @ x > problem.b_ub + tol).any():
+        return False
+    if (np.abs(problem.a_eq @ x - problem.b_eq) > tol).any():
+        return False
+    if (x < -tol).any() or (x > problem.ub + tol).any():
+        return False
+    integral = problem.integrality.astype(bool)
+    return bool((np.abs(x[integral] - np.round(x[integral])) <= tol).all())
+
+
 def small_stats(seed=0, n=10, k=3):
     gen = np.random.default_rng(seed)
     return SliceStats(
@@ -23,10 +38,13 @@ class TestBuildIlp:
         model = AnalyticalCostModel(stats, "merge", PARAMS)
         problem = build_ilp(model)
         n, k = stats.n_units, stats.n_nodes
-        assert problem.n_vars == n * k + 2  # x variables plus d and g
-        assert problem.a_eq.shape == (n, problem.n_vars)  # Equation 4
-        assert problem.a_ub.shape == (3 * k, problem.n_vars)  # Eqs 10-12
-        assert len(problem.integrality) == n * k
+        n_vars = len(problem.c)
+        assert n_vars == n * k + 2  # x variables plus d and g
+        assert problem.a_eq.shape == (n, n_vars)  # Equation 4
+        assert problem.a_ub.shape == (3 * k, n_vars)  # Eqs 10-12
+        # The integrality vector marks exactly the n*k x variables.
+        np.testing.assert_array_equal(problem.integrality[: n * k], 1.0)
+        np.testing.assert_array_equal(problem.integrality[n * k :], 0.0)
 
     def test_objective_is_d_plus_g(self):
         stats = small_stats()
@@ -43,7 +61,7 @@ class TestBuildIlp:
         for _ in range(10):
             assignment = rng.integers(0, stats.n_nodes, stats.n_units)
             vector = assignment_to_vector(model, assignment)
-            assert problem.check_feasible(vector)
+            assert check_feasible(problem, vector)
 
     def test_vector_objective_matches_cost_model(self, rng):
         """d + g of the lifted vector equals the Equation-8 plan cost."""
@@ -67,7 +85,7 @@ class TestBuildIlp:
         d_index = stats.n_units * stats.n_nodes
         if vector[d_index] > 0:
             vector[d_index] *= 0.5
-            assert not problem.check_feasible(vector)
+            assert not check_feasible(problem, vector)
 
     def test_lp_bound_below_any_assignment(self, rng):
         from scipy.optimize import linprog
@@ -81,7 +99,7 @@ class TestBuildIlp:
             b_ub=problem.b_ub,
             A_eq=problem.a_eq,
             b_eq=problem.b_eq,
-            bounds=problem.bounds(),
+            bounds=np.column_stack([np.zeros_like(problem.ub), problem.ub]),
             method="highs",
         )
         assert relaxed.success

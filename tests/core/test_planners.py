@@ -1,13 +1,23 @@
 """Unit tests for the five physical planners (Section 5.2)."""
 
+import hashlib
+import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from repro.core.cost_model import AnalyticalCostModel, CostParams
 from repro.core.planners import PLANNER_NAMES, get_planner
 from repro.core.planners.coarse import pack_bins
+from repro.core.planners.ilp import MIP_REL_GAP
 from repro.core.slices import SliceStats
-from repro.errors import PlanningError
+from repro.errors import PlanningError, SolverError
+
+REPO_ROOT = Path(__file__).resolve().parents[2]
 
 PARAMS = CostParams(m=1e-6, b=4e-6, p=1e-6, t=5e-6)
 
@@ -170,3 +180,58 @@ class TestIlpPlanners:
         assert plan.meta["n_bins"] <= 20
         baseline = get_planner("baseline").plan(model).cost.total_seconds
         assert plan.cost.total_seconds <= baseline * 1.5
+
+    def test_invalid_budget(self):
+        with pytest.raises(SolverError):
+            get_planner("ilp", time_budget_s=0.0)
+
+
+def assignment_digest(assignment) -> str:
+    """md5 of the assignment bytes: stable across processes, unlike hash()."""
+    return hashlib.md5(np.asarray(assignment, dtype=np.int64).tobytes()).hexdigest()
+
+
+_DIGEST_SCRIPT = """
+from repro.core.cost_model import AnalyticalCostModel
+from repro.core.planners import get_planner
+from tests.core.test_planners import PARAMS, assignment_digest, skewed_stats
+model = AnalyticalCostModel(skewed_stats(), "hash", PARAMS)
+print(assignment_digest(get_planner("ilp", time_budget_s=5.0).plan(model).assignment))
+"""
+
+
+class TestIlpSolver:
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("algorithm", ["merge", "hash"])
+    def test_matches_brute_force_optimum(self, algorithm, seed):
+        """Enumerate all 3^9 assignments: the ILP plan is optimal to its gap."""
+        n, k = 9, 3
+        model = AnalyticalCostModel(
+            skewed_stats(n_units=n, n_nodes=k, seed=seed), algorithm, PARAMS
+        )
+        optimum = min(
+            model.plan_cost(np.array(assignment)).total_seconds
+            for assignment in itertools.product(range(k), repeat=n)
+        )
+        plan = get_planner("ilp").plan(model)
+        assert plan.cost.total_seconds <= optimum * (1 + MIP_REL_GAP)
+
+    def test_plan_is_deterministic(self, model):
+        """Solved by work, not by the clock: the same plan in every process."""
+        plans = [get_planner("ilp", time_budget_s=5.0).plan(model) for _ in range(2)]
+        for plan in plans:
+            assert plan.meta["status"] == "optimal"
+            assert plan.meta["budget_hit"] is False
+        digests = {assignment_digest(plan.assignment) for plan in plans}
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(REPO_ROOT / "src"), str(REPO_ROOT), env.get("PYTHONPATH", "")]
+        )
+        for _ in range(2):
+            out = subprocess.run(
+                [sys.executable, "-c", _DIGEST_SCRIPT],
+                env=env, cwd=REPO_ROOT, capture_output=True, text=True,
+                check=True, timeout=120,
+            )
+            digests.add(out.stdout.strip())
+        assert len(digests) == 1
