@@ -15,7 +15,7 @@ import numpy as np
 
 from repro.core.cost_model import AnalyticalCostModel
 from repro.core.planners.base import PhysicalPlanner
-from repro.core.planners.ilp import IlpPlanner
+from repro.core.planners.ilp import IlpPlanner, load_solver
 from repro.core.slices import SliceStats
 
 
@@ -60,6 +60,7 @@ class CoarseIlpPlanner(PhysicalPlanner):
     def __init__(self, n_bins: int = 75, time_budget_s: float = 5.0):
         self.n_bins = n_bins
         self.time_budget_s = time_budget_s
+        load_solver()
 
     def assign(self, model: AnalyticalCostModel) -> tuple[np.ndarray, dict]:
         stats = model.stats

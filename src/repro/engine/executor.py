@@ -31,7 +31,7 @@ from repro.cluster.network import Transfer, schedule_shuffle
 from repro.core.cost_model import AnalyticalCostModel, CostParams, PlanCost
 from repro.core.join_schema import JoinSchema, infer_join_schema
 from repro.core.logical import LogicalPlan, LogicalPlanner, PlanInputs
-from repro.core.planners import PhysicalPlan, get_planner
+from repro.core.planners import PhysicalPlan, PhysicalPlanner, get_planner
 from repro.core.slices import SliceStats, key_columns, unit_ids_for
 from repro.core.splitting import SplitPlan, plan_unit_split
 from repro.engine.joins import hash_join_match, match_pairs
@@ -45,7 +45,13 @@ from repro.engine.parallel import (
     run_shm_batches,
     shutdown_pools,
 )
-from repro.engine.shm import SharedArena
+from repro.engine.kernels import probe_sorted
+from repro.engine.shm import (
+    SharedArena,
+    _unit_sorted,
+    fuse_unit_keys,
+    fused_width_fits,
+)
 from repro.engine.simulation import SimulationParams
 from repro.errors import ExecutionError, PlanningError
 from repro.obs.counters import CounterSet
@@ -57,6 +63,125 @@ from repro.query.aql import FilterQuery, JoinQuery, MultiJoinQuery, parse_aql
 from repro.query.afl import apply_filter
 from repro.serve.cache import CachedPlan, PlanCache
 from repro.serve.fingerprint import Fingerprint, plan_fingerprint
+
+
+#: Rows (both sides) per block of consecutive join units on the
+#: in-process fused matcher: large enough that a block's few numpy calls
+#: amortise over thousands of small units, small enough that its
+#: gathered key columns stay a few MiB.
+FUSED_BLOCK_ROWS = 1 << 16
+
+#: A hash join takes the in-process fused matcher only when its mean
+#: matchable unit holds fewer rows (both sides) than this. Measured on
+#: the two sides of the line: ``hash_skew`` and the served workloads
+#: (≈ 500 rows per matchable unit) gain — steady requests 14 → 6 ms —
+#: because the per-unit loop makes a Python-level match call and a
+#: materialise call for each of the 395 matchable units per request;
+#: ``dense_output`` (≈ 6.3k rows per unit) and ``chain4``'s replayed
+#: stage (≈ 4.7k) ran 25–35 % slower when forced onto it, because the
+#: per-unit hash join sorts only each unit's smaller side while the
+#: fused path gathers both sides through the sort permutations. Merge
+#: joins always gain: the per-unit loop sorts and checks both sides of
+#: every unit.
+FUSED_HASH_MAX_UNIT_ROWS = 1024
+
+
+def _takes_fused_path(
+    slice_table: "_SliceTable", algo: str, matchable: np.ndarray
+) -> bool:
+    """Whether a one-worker match runs on the in-process fused matcher.
+
+    Needs packed single-sort keys whose fused ``(unit << width) | key``
+    form fits 64 bits, and a merge join or a small-unit hash join (see
+    :data:`FUSED_HASH_MAX_UNIT_ROWS`). Everything else — structured
+    keys, the reference slice mapping, nested loops, big-unit hash
+    joins — stays on :meth:`ShuffleJoinExecutor._match_serial`.
+    """
+    codec = slice_table.codec
+    left, right = slice_table.left_assembly, slice_table.right_assembly
+    if (
+        codec is None
+        or left is None
+        or right is None
+        or not matchable.size
+        or algo not in ("merge", "hash")
+        or not fused_width_fits(left.bounds.size - 1, codec.total_width)
+    ):
+        return False
+    if algo == "merge":
+        return True
+    stats = slice_table.stats
+    rows = int(
+        stats.left_unit_totals[matchable].sum()
+        + stats.right_unit_totals[matchable].sum()
+    )
+    return rows < FUSED_HASH_MAX_UNIT_ROWS * matchable.size
+
+
+def _unit_blocks(row_bounds: np.ndarray, block_rows: int):
+    """Yield ``(start, stop)`` ranges of consecutive units.
+
+    ``row_bounds`` is the cumulative row count per unit boundary; each
+    range holds at most ``block_rows`` rows unless one unit alone is
+    bigger, which then forms its own range.
+    """
+    n_units = row_bounds.size - 1
+    start = 0
+    while start < n_units:
+        stop = int(
+            np.searchsorted(
+                row_bounds, row_bounds[start] + block_rows, side="right"
+            )
+        ) - 1
+        stop = min(max(stop, start + 1), n_units)
+        yield start, stop
+        start = stop
+
+
+def _probe_block(
+    probe: "_SideAssembly",
+    probe_lo: int,
+    probe_counts: np.ndarray,
+    probes: np.ndarray,
+    build_sorted: np.ndarray,
+    start: int,
+    key_width: int,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Probe one side's rows of a block's ``probes`` units, in row order.
+
+    ``probe_counts``/``probes`` are per unit of the block starting at
+    unit ``start`` (rows from ``probe_lo``); ``build_sorted`` is the
+    other side's fused column of the same block, in sorted order.
+    Returns the matched probe rows, the build positions and each
+    pair's unit, probe-row-major with build positions ascending.
+    """
+    rows = probe_lo + np.flatnonzero(np.repeat(probes, probe_counts))
+    needles = fuse_unit_keys(
+        probe.keys[rows], np.where(probes, probe_counts, 0), start, key_width
+    )
+    hits, positions = probe_sorted(needles, build_sorted)
+    return rows[hits], positions, needles[hits] >> np.uint64(key_width)
+
+
+def _interleave_by_unit(first, second):
+    """Merge two unit-ordered ``(left rows, right rows, units)`` triples.
+
+    The two never share a unit, so each pair's output position is its
+    own index plus the other triple's pair count in lower units: a
+    position scatter, with no sort of either side or of the pairs.
+    """
+    if first is None or second is None:
+        return first if second is None else second
+    units_a, units_b = first[2], second[2]
+    pos_a = np.arange(units_a.size) + np.searchsorted(units_b, units_a)
+    pos_b = np.arange(units_b.size) + np.searchsorted(units_a, units_b)
+    merged = []
+    for a, b in zip(first, second):
+        out = np.empty(a.size + b.size, dtype=np.result_type(a, b))
+        out[pos_a] = a
+        out[pos_b] = b
+        merged.append(out)
+    return tuple(merged)
 
 
 @dataclass
@@ -300,6 +425,13 @@ class _SliceTable:
     _arena_lock: threading.Lock = field(
         default_factory=threading.Lock, repr=False
     )
+    #: Within-unit sort permutation per side (:meth:`sort_perm`), built
+    #: on first use under its own lock: concurrent executions of one
+    #: cached plan sort each side once, not once per request.
+    _perms: dict[str, np.ndarray] = field(default_factory=dict, repr=False)
+    _perm_lock: threading.Lock = field(
+        default_factory=threading.Lock, repr=False
+    )
 
     def _side_assembly(self, side: str) -> _SideAssembly | None:
         return self.left_assembly if side == "left" else self.right_assembly
@@ -323,11 +455,30 @@ class _SliceTable:
                 self._arena = SharedArena.create(
                     left.keys, right.keys, left.bounds, right.bounds,
                     self.codec.total_width,
+                    self.sort_perm("left"), self.sort_perm("right"),
                 )
             except (OSError, ValueError):
                 self._arena_failed = True
                 return None
             return self._arena
+
+    def sort_perm(self, side: str) -> np.ndarray:
+        """One side's within-unit stable sort permutation (packed keys).
+
+        ``perm[p]`` is the assembly row at sorted position ``p``; a
+        unit's sorted rows are ``perm[bounds[u]:bounds[u + 1]]``, with
+        equal keys in row order. Shared by the in-process fused matcher
+        and the shared-memory arena, so neither sorts a side twice.
+        """
+        with self._perm_lock:
+            perm = self._perms.get(side)
+            if perm is None:
+                assembly = self._side_assembly(side)
+                perm = _unit_sorted(
+                    assembly.keys, assembly.bounds, self.codec.total_width
+                )
+                self._perms[side] = perm
+            return perm
 
     def release_arena(self) -> None:
         """Tear down the shared arena now (idempotent; GC also covers it)."""
@@ -1100,12 +1251,20 @@ class ShuffleJoinExecutor:
                 ]
             physical_seconds = 0.0
         else:
+            # Constructed before the clock starts: an ILP planner loads
+            # scipy.optimize when built, a once-per-process import that
+            # is not planning work.
+            planner = (
+                self._make_planner(planner_name)
+                if self.cluster.n_nodes > 1
+                else None
+            )
             physical_started = time.perf_counter()
             with tracer.span("physical_assign", planner=planner_name):
                 with self.profiler.phase("physical_assign"):
                     assignment, physical_plan, model = self._physical_plan(
                         slice_table.stats, logical_plan, planner_name,
-                        split=slice_table.split,
+                        split=slice_table.split, planner=planner,
                     )
             physical_seconds = time.perf_counter() - physical_started
             slice_table._physical_memo[memo_key] = (assignment, physical_plan)
@@ -1586,6 +1745,7 @@ class ShuffleJoinExecutor:
         logical_plan: LogicalPlan,
         planner_name: str,
         split: SplitPlan | None = None,
+        planner: PhysicalPlanner | None = None,
     ) -> tuple[np.ndarray, PhysicalPlan | None, AnalyticalCostModel | None]:
         if self.cluster.n_nodes == 1:
             assignment = np.zeros(stats.n_units, dtype=np.int64)
@@ -1597,7 +1757,8 @@ class ShuffleJoinExecutor:
                 "run on a single node"
             )
         model = AnalyticalCostModel(stats, logical_plan.join_algo, self.cost)
-        planner = self._make_planner(planner_name)
+        if planner is None:
+            planner = self._make_planner(planner_name)
         plan = planner.plan(model)
         if split is not None:
             # Placement saw the refined granularity; record how much of
@@ -1756,30 +1917,38 @@ class ShuffleJoinExecutor:
                 algo, n_left, n_right, self.cost
             )
             np.add.at(node_seconds, nodes, contrib)
-            matchable = [
-                int(unit) for unit in active[(n_left > 0) & (n_right > 0)]
-            ]
+            matchable = active[(n_left > 0) & (n_right > 0)]
+        else:
+            matchable = active
 
         workers = (
             self.n_workers if n_workers is None else resolve_workers(n_workers)
         )
-        if workers > 1 and matchable:
+        if workers > 1 and matchable.size:
             produced_by_node, match_meta = self._match_parallel(
-                matchable, assignment, slice_table, join_schema, builder,
-                algo, workers, counters,
+                matchable.tolist(), assignment, slice_table, join_schema,
+                builder, algo, workers, counters,
             )
             for node, produced in produced_by_node.items():
                 node_output[node] += produced
             meta.update(match_meta)
         else:
-            # The serial oracle always matches through the portable
-            # numpy kernels — it is the reference everything else is
-            # byte-compared against.
+            # One worker matches in-process through the portable numpy
+            # kernels: blocks of units over the fused sorted columns
+            # when the plan allows, else the per-unit reference loop —
+            # the oracle everything else is byte-compared against. Both
+            # emit the same pairs in the same order.
             meta["kernel"] = "numpy"
-            self._match_serial(
-                matchable, assignment, slice_table, join_schema, builder,
-                algo, meta, node_output, counters,
-            )
+            if _takes_fused_path(slice_table, algo, matchable):
+                self._match_fused(
+                    matchable, assignment, slice_table, builder, algo,
+                    node_output, counters,
+                )
+            else:
+                self._match_serial(
+                    matchable.tolist(), assignment, slice_table,
+                    join_schema, builder, algo, meta, node_output, counters,
+                )
         if self.split_units == "adaptive":
             # The shm coordinator fills these in; every other path
             # (serial, threads, classic process) has no runtime splitter.
@@ -1851,6 +2020,115 @@ class ShuffleJoinExecutor:
             counters.add("cells_compared", len(left_keys) + len(right_keys))
             counters.add("matched_pairs", len(li))
             counters.add("cells_emitted", produced)
+            counters.add("match_kernel_calls", 1)
+
+    def _match_fused(
+        self,
+        matchable: np.ndarray,
+        assignment: np.ndarray,
+        slice_table: _SliceTable,
+        builder: OutputBuilder,
+        algo: str,
+        node_output: np.ndarray,
+        counters: CounterSet,
+    ) -> None:
+        """Match blocks of consecutive units over fused sorted keys.
+
+        Each block of about :data:`FUSED_BLOCK_ROWS` rows is matched on
+        its ``(unit << key_width) | key`` columns, sorted through the
+        slice table's within-unit permutations, and materialised before
+        the next block starts. The pairs and their order are exactly
+        :meth:`_match_serial`'s, because later pipeline stages inherit
+        the output order:
+
+        - units come out in ascending order;
+        - a merge unit is key-major, left rows then right rows
+          ascending — what sorted-vs-sorted :func:`probe_sorted` yields;
+        - a hash unit's larger side probes (ties: the right side) in row
+          order against the other side's sorted keys, build rows
+          ascending per probe row — :func:`hash_join_match`'s order.
+          The probe-left and probe-right units of a block are matched
+          by one call each and interleaved back into unit order by a
+          position scatter.
+        """
+        left, right = slice_table.left_assembly, slice_table.right_assembly
+        key_width = slice_table.codec.total_width
+        shift = np.uint64(key_width)
+        left_perm = slice_table.sort_perm("left")
+        right_perm = slice_table.sort_perm("right")
+        left_counts = np.diff(left.bounds)
+        right_counts = np.diff(right.bounds)
+        kernel_calls = 0
+        produced_total = 0
+        pairs_total = 0
+        for start, stop in _unit_blocks(
+            left.bounds + right.bounds, FUSED_BLOCK_ROWS
+        ):
+            lc = left_counts[start:stop]
+            rc = right_counts[start:stop]
+            both = (lc > 0) & (rc > 0)
+            if not both.any():
+                continue
+            llo, lhi = int(left.bounds[start]), int(left.bounds[stop])
+            rlo, rhi = int(right.bounds[start]), int(right.bounds[stop])
+            lperm = left_perm[llo:lhi]
+            rperm = right_perm[rlo:rhi]
+            if algo == "merge":
+                left_sorted = fuse_unit_keys(
+                    left.keys[lperm], lc, start, key_width
+                )
+                li, ri = probe_sorted(
+                    left_sorted,
+                    fuse_unit_keys(right.keys[rperm], rc, start, key_width),
+                )
+                kernel_calls += 1
+                left_rows, right_rows = lperm[li], rperm[ri]
+                pair_units = left_sorted[li] >> shift
+            else:
+                left_probes = both & (rc < lc)
+                right_probes = both & (rc >= lc)
+                by_left = by_right = None
+                if left_probes.any():
+                    build = fuse_unit_keys(
+                        right.keys[rperm], rc, start, key_width
+                    )
+                    rows, pos, units = _probe_block(
+                        left, llo, lc, left_probes, build, start, key_width
+                    )
+                    by_left = (rows, rperm[pos], units)
+                    kernel_calls += 1
+                if right_probes.any():
+                    build = fuse_unit_keys(
+                        left.keys[lperm], lc, start, key_width
+                    )
+                    rows, pos, units = _probe_block(
+                        right, rlo, rc, right_probes, build, start, key_width
+                    )
+                    by_right = (lperm[pos], rows, units)
+                    kernel_calls += 1
+                left_rows, right_rows, pair_units = _interleave_by_unit(
+                    by_left, by_right
+                )
+            n_pairs = len(left_rows)
+            if not n_pairs:
+                continue
+            node_output += np.bincount(
+                assignment[pair_units.astype(np.int64)],
+                minlength=node_output.size,
+            )
+            produced_total += builder.add_matches(
+                left.cells, right.cells, left_rows, right_rows,
+                left.key_cols,
+            )
+            pairs_total += n_pairs
+        counters.add("join_units_matched", int(matchable.size))
+        counters.add(
+            "cells_compared",
+            int(left_counts[matchable].sum() + right_counts[matchable].sum()),
+        )
+        counters.add("matched_pairs", pairs_total)
+        counters.add("cells_emitted", produced_total)
+        counters.add("match_kernel_calls", kernel_calls)
 
     def _match_parallel(
         self,

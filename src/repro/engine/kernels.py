@@ -83,24 +83,31 @@ def _match_numpy(
     return hash_join_match(left, right)
 
 
-def _match_sorted_numpy(
+def probe_sorted(
     left: np.ndarray, right: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Equi-match of two already-sorted columns: binary search only.
+    """Equi-match of needles against an ascending column: binary search only.
 
-    With both inputs ascending, each left value's matches are one
+    Only ``right`` must be sorted: each left value's matches are one
     contiguous right run located by a pair of ``searchsorted`` calls —
     no argsort at match time, which is the point of storing arena keys
-    pre-sorted (see :mod:`repro.engine.shm`).
+    pre-sorted (see :mod:`repro.engine.shm`). The run's end is searched
+    only for needles that hit, which on a selective join is a handful.
+    Pairs come out in needle order, and within one needle in ascending
+    right position; with an ascending ``left`` too that is key-major,
+    merge-join order.
     """
+    empty = np.empty(0, dtype=np.int64)
+    if right.size == 0:
+        return empty, empty
     lo = np.searchsorted(right, left, side="left")
-    hi = np.searchsorted(right, left, side="right")
-    counts = hi - lo
+    hits = np.flatnonzero(right[np.minimum(lo, right.size - 1)] == left)
+    lo = lo[hits]
+    counts = np.searchsorted(right, left[hits], side="right") - lo
     total = int(counts.sum())
     if total == 0:
-        empty = np.empty(0, dtype=np.int64)
         return empty, empty
-    left_idx = np.repeat(np.arange(left.size, dtype=np.int64), counts)
+    left_idx = np.repeat(hits, counts)
     offsets = np.concatenate(([0], np.cumsum(counts)[:-1]))
     right_idx = np.repeat(lo - offsets, counts) + np.arange(
         total, dtype=np.int64
@@ -366,7 +373,7 @@ def packed_match_sorted(
         raise ExecutionError(
             f"packed_match_sorted expects a resolved kernel, got {kernel!r}"
         )
-    return _match_sorted_numpy(left, right)
+    return probe_sorted(left, right)
 
 
 __all__ = [
@@ -377,5 +384,6 @@ __all__ = [
     "packed_match",
     "packed_match_sorted",
     "probe_key_filter",
+    "probe_sorted",
     "resolve_kernel",
 ]

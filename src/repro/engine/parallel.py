@@ -69,7 +69,12 @@ from repro.engine.kernels import (
     probe_key_filter,
 )
 from repro.engine.output import OutputBuilder
-from repro.engine.shm import ArenaLayout, SharedArena, split_row_range
+from repro.engine.shm import (
+    ArenaLayout,
+    SharedArena,
+    fused_width_fits,
+    split_row_range,
+)
 from repro.errors import ExecutionError
 from repro.obs.counters import CounterSet
 from repro.obs.trace import NULL_TRACER, Tracer
@@ -510,8 +515,7 @@ def match_packed_columns(
     exact under collisions. Either single-column equi-match runs on the
     selected kernel (see :mod:`repro.engine.kernels`).
     """
-    unit_bits = int(max_unit).bit_length()
-    if unit_bits + key_width <= 64:
+    if fused_width_fits(int(max_unit) + 1, key_width):
         # Exact composite: the unit id sits above the packed key, so
         # equal column values are equal (unit, key) rows — one
         # build/probe, no collisions, no verification pass.
@@ -647,6 +651,7 @@ def execute_batch(
         produced = 0 if part is None else len(part[0])
         batch_span.set(matched_pairs=len(left_idx), produced=produced)
     counters.add("batches", 1)
+    counters.add("match_kernel_calls", 1)
     counters.add("join_units_matched", len(batch.units))
     counters.add("cells_compared", rows_left + rows_right)
     counters.add("matched_pairs", len(left_idx))
@@ -939,6 +944,7 @@ def execute_shm_batch(task: ShmTask) -> ShmBatchResult:
             matched_pairs=len(left_idx),
         )
     counters.add("batches", 1)
+    counters.add("match_kernel_calls", 1)
     counters.add("join_units_matched", n_matchable)
     counters.add("cells_compared", compared)
     counters.add("matched_pairs", len(left_idx))

@@ -16,10 +16,13 @@ assembly arrays using those global indices.
 The key columns are stored **sorted within each unit** (units stay in
 ascending order, so the whole column is ascending once the unit id is
 prepended as high bits), with an ``order`` map from sorted position
-back to the original assembly row. Sorting happens once at arena
-creation; every execution's match then runs on pre-sorted runs — a
-binary-search merge instead of an argsort per batch — and workers map
-matched positions through ``order`` before shipping indices back.
+back to the original assembly row. That permutation is computed once
+per prepared join by :func:`_unit_sorted` — the slice table keeps it
+and shares it with the in-process fused matcher — so arena creation
+only gathers through it; every execution's match then runs on
+pre-sorted runs — a binary-search merge instead of an argsort per
+batch — and workers map matched positions through ``order`` before
+shipping indices back.
 
 Segment layout, all 8-byte aligned by construction::
 
@@ -112,29 +115,50 @@ def _region_offsets(
     )
 
 
-def _unit_sorted(
-    keys: np.ndarray,
-    bounds: np.ndarray,
-    key_width: int,
-    fuse: bool,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Sort a unit-major key column within each unit.
+def fused_width_fits(n_units: int, key_width: int) -> bool:
+    """True when unit ids fit the bits above a ``key_width``-bit key."""
+    return max(n_units - 1, 0).bit_length() + int(key_width) <= 64
 
-    Returns ``(stored_keys, order)`` where ``order`` maps sorted
-    positions back to original rows. When ``fuse`` is set the stored
-    column is the fused ``(unit << key_width) | key`` value — one
-    globally ascending uint64 lane workers can match with nothing but
-    binary search. One sort at creation time buys every subsequent
-    match a sort-free merge.
+
+def fuse_unit_keys(
+    keys: np.ndarray, counts: np.ndarray, first_unit: int, key_width: int
+) -> np.ndarray:
+    """The fused ``(unit << key_width) | key`` column of a unit range.
+
+    ``keys`` are the range's rows in unit-major order (original or
+    within-unit sorted: either keeps every row inside its unit) and
+    ``counts`` its per-unit row counts, starting at unit ``first_unit``.
+    Callers check :func:`fused_width_fits` first.
     """
-    counts = np.diff(np.asarray(bounds, dtype=np.int64))
-    unit_col = np.repeat(np.arange(counts.size, dtype=np.int64), counts)
-    if fuse:
-        fused = (unit_col.astype(np.uint64) << np.uint64(key_width)) | keys
-        order = np.argsort(fused, kind="stable").astype(np.int64)
-        return fused[order], order
-    order = np.lexsort((keys, unit_col)).astype(np.int64)
-    return keys[order], order
+    units = np.arange(
+        first_unit, first_unit + counts.size, dtype=np.uint64
+    )
+    prefix = np.repeat(units << np.uint64(key_width), counts)
+    return prefix | keys
+
+
+def _unit_sorted(
+    keys: np.ndarray, bounds: np.ndarray, key_width: int
+) -> np.ndarray:
+    """Stable within-unit sort permutation of a unit-major key column.
+
+    ``order[p]`` is the row holding sorted position ``p``: units stay in
+    ascending order, keys ascend within a unit, and equal keys keep row
+    order. ``int32`` while the column has fewer than 2³¹ rows, ``int64``
+    beyond. One sort buys every later match a sort-free merge; the
+    slice table computes it once per side and hands it to both the
+    in-process matcher and :meth:`SharedArena.create`.
+    """
+    bounds = np.asarray(bounds, dtype=np.int64)
+    counts = np.diff(bounds)
+    if fused_width_fits(counts.size, key_width):
+        order = np.argsort(
+            fuse_unit_keys(keys, counts, 0, key_width), kind="stable"
+        )
+    else:
+        unit_col = np.repeat(np.arange(counts.size, dtype=np.int64), counts)
+        order = np.lexsort((keys, unit_col))
+    return order.astype(np.int32 if keys.size < 2**31 else np.int64)
 
 
 def _release_segment(segment: shared_memory.SharedMemory, owner: bool) -> None:
@@ -265,16 +289,22 @@ class SharedArena:
         left_bounds: np.ndarray,
         right_bounds: np.ndarray,
         key_width: int,
+        left_order: np.ndarray | None = None,
+        right_order: np.ndarray | None = None,
     ) -> "SharedArena":
-        """Allocate a segment; copy the assembly arrays in, unit-sorted."""
+        """Allocate a segment; copy the assembly arrays in, unit-sorted.
+
+        ``left_order``/``right_order`` are the sides' within-unit sort
+        permutations (:func:`_unit_sorted`) when the caller already
+        holds them; missing ones are computed here.
+        """
         if left_bounds.shape != right_bounds.shape:
             raise ValueError(
                 "left/right bounds must cover the same unit count, got "
                 f"{left_bounds.shape} vs {right_bounds.shape}"
             )
         n_units = int(left_bounds.size) - 1
-        unit_bits = max(n_units - 1, 0).bit_length()
-        fused = unit_bits + int(key_width) <= 64
+        fused = fused_width_fits(n_units, key_width)
         layout = ArenaLayout(
             name=f"{ARENA_PREFIX}{os.getpid()}-{secrets.token_hex(4)}",
             n_left=int(left_keys.size),
@@ -284,22 +314,30 @@ class SharedArena:
             fused=fused,
             filter_log2=filter_log2_for(int(right_keys.size)) if fused else 0,
         )
-        sorted_left, order_left = _unit_sorted(
-            left_keys.view(np.uint64), left_bounds, layout.key_width,
-            layout.fused,
-        )
-        sorted_right, order_right = _unit_sorted(
-            right_keys.view(np.uint64), right_bounds, layout.key_width,
-            layout.fused,
+
+        def stored(keys, bounds, order):
+            keys = keys.view(np.uint64)
+            if order is None:
+                order = _unit_sorted(keys, bounds, layout.key_width)
+            if fused:
+                keys = fuse_unit_keys(
+                    keys, np.diff(np.asarray(bounds, dtype=np.int64)), 0,
+                    layout.key_width,
+                )
+            return keys[order], order
+
+        sorted_left, order_left = stored(left_keys, left_bounds, left_order)
+        sorted_right, order_right = stored(
+            right_keys, right_bounds, right_order
         )
         segment = shared_memory.SharedMemory(
             name=layout.name, create=True, size=max(layout.nbytes, 1)
         )
         arena = cls(segment, layout, owner=True)
         np.copyto(arena.left_keys, sorted_left, casting="no")
-        np.copyto(arena.left_order, order_left, casting="no")
+        np.copyto(arena.left_order, order_left, casting="safe")
         np.copyto(arena.right_keys, sorted_right, casting="no")
-        np.copyto(arena.right_order, order_right, casting="no")
+        np.copyto(arena.right_order, order_right, casting="safe")
         np.copyto(
             arena.left_bounds,
             np.ascontiguousarray(left_bounds, dtype=np.int64),
@@ -406,6 +444,8 @@ __all__ = [
     "ARENA_PREFIX",
     "ArenaLayout",
     "SharedArena",
+    "fuse_unit_keys",
+    "fused_width_fits",
     "live_arena_names",
     "split_row_range",
 ]

@@ -235,3 +235,61 @@ class TestIlpSolver:
             )
             digests.add(out.stdout.strip())
         assert len(digests) == 1
+
+
+def loop_built_ilp_rows(model):
+    """Equations 10-12 built one coefficient at a time (dense reference)."""
+    stats = model.stats
+    n, k = stats.n_units, stats.n_nodes
+    s_total = stats.s_total.astype(np.float64)
+    unit_totals = stats.unit_totals.astype(np.float64)
+    t = model.params.t
+    d_idx, g_idx = n * k, n * k + 1
+    a_ub = np.zeros((3 * k, n * k + 2))
+    b_ub = np.zeros(3 * k)
+    for j in range(k):
+        send, recv, compare = 3 * j, 3 * j + 1, 3 * j + 2
+        for i in range(n):
+            a_ub[send, i * k + j] = -t * s_total[i, j]
+            a_ub[recv, i * k + j] = t * (unit_totals[i] - s_total[i, j])
+            a_ub[compare, i * k + j] = model.unit_costs[i]
+        a_ub[send, d_idx] = a_ub[recv, d_idx] = a_ub[compare, g_idx] = -1.0
+        b_ub[send] = -t * s_total[:, j].sum()
+    return a_ub, b_ub
+
+
+class TestIlpFormulation:
+    @pytest.mark.parametrize("algorithm", ["merge", "hash"])
+    def test_rows_equal_loop_reference(self, algorithm):
+        from repro.core.planners.ilp import build_ilp
+
+        model = AnalyticalCostModel(skewed_stats(), algorithm, PARAMS)
+        form = build_ilp(model)
+        a_ub, b_ub = loop_built_ilp_rows(model)
+        np.testing.assert_array_equal(form.a_ub.toarray(), a_ub)
+        np.testing.assert_array_equal(form.b_ub, b_ub)
+        # Zero coefficients stay out of the sparse rows.
+        assert form.a_ub.nnz == np.count_nonzero(a_ub)
+
+
+_CONSTRUCT_SCRIPT = """
+import sys
+from repro.core.planners import get_planner
+assert "scipy.optimize" not in sys.modules
+get_planner({name!r})
+print("scipy.optimize" in sys.modules)
+"""
+
+
+@pytest.mark.parametrize("name", ["ilp", "ilp_coarse"])
+def test_constructing_an_ilp_planner_loads_the_solver(name):
+    """The import happens at construction, outside any plan's timer."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(REPO_ROOT / "src"), env.get("PYTHONPATH", "")]
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", _CONSTRUCT_SCRIPT.format(name=name)],
+        env=env, capture_output=True, text=True, check=True, timeout=120,
+    )
+    assert out.stdout.strip() == "True"
