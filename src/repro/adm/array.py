@@ -8,12 +8,12 @@ which node owns which chunk.
 
 from __future__ import annotations
 
-from typing import Iterator, Mapping
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
 from repro.adm.cells import CellSet
-from repro.adm.chunk import Chunk, build_chunks
+from repro.adm.chunk import Chunk, build_chunks, validate_chunks
 from repro.adm.schema import ArraySchema
 from repro.errors import SchemaError
 
@@ -28,8 +28,7 @@ class LocalArray:
         #: so higher layers (plan fingerprints, integrity checks) can
         #: detect writes that bypass the catalog's version bookkeeping
         self.mutation_count = 0
-        for chunk in self.chunks.values():
-            chunk.validate_against(schema)
+        validate_chunks(schema, list(self.chunks.values()))
 
     # ---------------------------------------------------------- constructors
 
@@ -105,19 +104,24 @@ class LocalArray:
 
     def put_chunk(self, chunk: Chunk) -> None:
         """Insert or merge a chunk into this instance's store."""
-        chunk.validate_against(self.schema)
-        self.mutation_count += 1
-        existing = self.chunks.get(chunk.chunk_id)
-        if existing is None:
-            self.chunks[chunk.chunk_id] = chunk
-            return
-        merged = CellSet.concat([existing.cells, chunk.cells])
-        self.chunks[chunk.chunk_id] = Chunk(
-            chunk_id=chunk.chunk_id,
-            corner=chunk.corner,
-            cells=merged,
-            sorted_cells=False,
-        )
+        self.put_chunks([chunk])
+
+    def put_chunks(self, chunks: Sequence[Chunk]) -> None:
+        """Insert or merge chunks in order, validated in one pass."""
+        validate_chunks(self.schema, chunks)
+        for chunk in chunks:
+            self.mutation_count += 1
+            existing = self.chunks.get(chunk.chunk_id)
+            if existing is None:
+                self.chunks[chunk.chunk_id] = chunk
+                continue
+            merged = CellSet.concat([existing.cells, chunk.cells])
+            self.chunks[chunk.chunk_id] = Chunk(
+                chunk_id=chunk.chunk_id,
+                corner=chunk.corner,
+                cells=merged,
+                sorted_cells=False,
+            )
 
     # -------------------------------------------------------------- density
 

@@ -9,6 +9,7 @@ widely between chunks of the same array.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -53,15 +54,32 @@ class Chunk:
 
     def validate_against(self, schema: ArraySchema) -> None:
         """Check that every cell falls inside this chunk's rectangle."""
-        if schema.is_dimensionless():
-            return
-        ids = schema.chunk_ids(self.cells.coords)
-        if len(ids) and not (ids == self.chunk_id).all():
-            stray = self.cells.coords[ids != self.chunk_id][0]
-            raise SchemaError(
-                f"cell {tuple(int(v) for v in stray)} does not belong to "
-                f"chunk {self.chunk_id} of schema {schema.name!r}"
-            )
+        validate_chunks(schema, [self])
+
+
+def validate_chunks(schema: ArraySchema, chunks: Sequence[Chunk]) -> None:
+    """Check every chunk's cells against its rectangle in one pass.
+
+    One :meth:`ArraySchema.chunk_ids` call over all the chunks' cells;
+    raises :class:`SchemaError` naming the first stray cell of the first
+    chunk (in the given order) that holds one.
+    """
+    if schema.is_dimensionless() or not chunks:
+        return
+    sizes = [chunk.n_cells for chunk in chunks]
+    if len(chunks) == 1:
+        coords = chunks[0].cells.coords
+    else:
+        coords = np.concatenate([chunk.cells.coords for chunk in chunks])
+    owner = np.repeat([chunk.chunk_id for chunk in chunks], sizes)
+    stray = np.flatnonzero(schema.chunk_ids(coords) != owner)
+    if stray.size:
+        row = int(stray[0])
+        chunk_id = int(owner[row])
+        raise SchemaError(
+            f"cell {tuple(int(v) for v in coords[row])} does not belong to "
+            f"chunk {chunk_id} of schema {schema.name!r}"
+        )
 
 
 def build_chunks(
@@ -74,6 +92,10 @@ def build_chunks(
     Empty chunks are not materialised (the engine only stores occupied
     cells). With ``sort=True`` each chunk's cells are placed in C-style
     order, matching the on-disk layout of Figure 1.
+
+    One stable sort orders the whole cell set by chunk id (and, with
+    ``sort``, by C-order coordinates within a chunk); every chunk is then
+    a slice view of that sorted copy.
     """
     schema.validate_coords(cells.coords)
     if schema.is_dimensionless():
@@ -83,19 +105,26 @@ def build_chunks(
         return {}
 
     ids = schema.chunk_ids(cells.coords)
-    chunks: dict[int, Chunk] = {}
-    order = np.argsort(ids, kind="stable")
+    if sort:
+        # np.lexsort sorts by the *last* key first: chunk id, then the
+        # coordinate axes outermost first, then arrival order.
+        axes = [cells.coords[:, axis] for axis in range(schema.ndims)]
+        order = np.lexsort(axes[::-1] + [ids])
+    else:
+        order = np.argsort(ids, kind="stable")
     sorted_ids = ids[order]
-    boundaries = np.flatnonzero(np.r_[True, sorted_ids[1:] != sorted_ids[:-1], True])
-    for lo, hi in zip(boundaries[:-1], boundaries[1:]):
-        chunk_id = int(sorted_ids[lo])
-        part = cells.take(order[lo:hi])
-        if sort:
-            part = part.sorted_c_order()
-        chunks[chunk_id] = Chunk(
+    starts = np.flatnonzero(np.r_[True, sorted_ids[1:] != sorted_ids[:-1]])
+    chunk_ids = sorted_ids[starts]
+    parts = cells.take(order).split_sorted(np.r_[starts, len(order)])
+    corners = schema.chunk_corners(chunk_ids)
+    return {
+        chunk_id: Chunk(
             chunk_id=chunk_id,
-            corner=schema.chunk_corner(chunk_id),
+            corner=tuple(corner),
             cells=part,
             sorted_cells=sort,
         )
-    return chunks
+        for chunk_id, corner, part in zip(
+            chunk_ids.tolist(), corners.tolist(), parts
+        )
+    }

@@ -242,6 +242,20 @@ class ArraySchema:
             d.chunk_start(idx) for d, idx in zip(self.dims, corner)
         )
 
+    def chunk_corners(self, chunk_ids: np.ndarray) -> np.ndarray:
+        """Lowest coordinates of many chunks, as an ``(n, ndims)`` matrix.
+
+        The vectorised :meth:`chunk_corner` for schemas with dimensions;
+        ids must already lie in ``[0, n_chunks)``.
+        """
+        grid_index = np.unravel_index(
+            np.asarray(chunk_ids, dtype=np.int64), self.chunk_grid
+        )
+        return np.stack(
+            [d.chunk_start(idx) for d, idx in zip(self.dims, grid_index)],
+            axis=1,
+        )
+
     def validate_coords(self, coords: np.ndarray) -> None:
         """Raise :class:`SchemaError` if any coordinate is out of range."""
         coords = np.asarray(coords, dtype=np.int64)

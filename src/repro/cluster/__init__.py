@@ -10,7 +10,13 @@ of the greedy write-lock shuffle schedule of Section 3.4.
 
 from repro.cluster.catalog import ArrayEntry, SystemCatalog
 from repro.cluster.cluster import Cluster, ClusterParams
-from repro.cluster.network import NetworkParams, ShuffleSchedule, Transfer, schedule_shuffle
+from repro.cluster.network import (
+    NetworkParams,
+    ShuffleSchedule,
+    Transfer,
+    TransferTable,
+    schedule_shuffle,
+)
 from repro.cluster.node import Node
 
 __all__ = [
@@ -22,5 +28,6 @@ __all__ = [
     "ShuffleSchedule",
     "SystemCatalog",
     "Transfer",
+    "TransferTable",
     "schedule_shuffle",
 ]

@@ -102,9 +102,12 @@ class Cluster:
             targets = self._balanced_placement(array, chunk_ids)
         else:
             targets = self._resolve_placement(chunk_ids, placement)
+        by_node: dict[int, list] = {}
         for chunk_id, node_id in zip(chunk_ids, targets):
-            self.nodes[node_id].put_chunk(schema.name, array.chunks[chunk_id])
+            by_node.setdefault(node_id, []).append(array.chunks[chunk_id])
             self.catalog.record_chunk(schema.name, chunk_id, node_id)
+        for node_id, chunks in by_node.items():
+            self.nodes[node_id].put_chunks(schema.name, chunks)
         self.catalog.entry(schema.name).bump_version()
         return schema
 
@@ -175,9 +178,7 @@ class Cluster:
         loads keep spreading). Returns the number of cells inserted.
         """
         schema = self.catalog.schema(name)
-        from repro.adm.chunk import build_chunks as _build
-
-        chunks = _build(schema, cells)
+        chunks = build_chunks(schema, cells)
         entry = self.catalog.entry(name)
         new_ids = sorted(
             cid for cid in chunks if cid not in entry.chunk_locations
@@ -194,10 +195,13 @@ class Cluster:
             for chunk_id, node_id in zip(new_ids, targets):
                 self.catalog.record_chunk(name, chunk_id, node_id)
         inserted = 0
+        by_node: dict[int, list] = {}
         for chunk_id, chunk in chunks.items():
             node_id = entry.chunk_locations[chunk_id]
-            self.nodes[node_id].put_chunk(name, chunk)
+            by_node.setdefault(node_id, []).append(chunk)
             inserted += chunk.n_cells
+        for node_id, node_chunks in by_node.items():
+            self.nodes[node_id].put_chunks(name, node_chunks)
         entry.bump_version()
         return inserted
 
@@ -307,7 +311,7 @@ class Cluster:
         returns the simulated transfer schedule — so operators can see
         what the rebalance would cost on the wire.
         """
-        from repro.cluster.network import Transfer, schedule_shuffle
+        from repro.cluster.network import TransferTable, schedule_shuffle
 
         entry = self.catalog.entry(name)
         chunks: dict[int, tuple[int, object]] = {}
@@ -326,19 +330,18 @@ class Cluster:
             targets[chunk_id] = node_id
             loads[node_id] += chunks[chunk_id][1].n_cells
 
-        transfers = []
+        rows: list[tuple[int, int, int, int]] = []
         for chunk_id, (source, chunk) in chunks.items():
             destination = targets[chunk_id]
             if destination == source:
                 continue
-            transfers.append(
-                Transfer(source, destination, chunk.n_cells, tag=chunk_id)
-            )
+            rows.append((source, destination, chunk.n_cells, chunk_id))
             self.nodes[source].store(name).chunks.pop(chunk_id)
             self.nodes[destination].put_chunk(name, chunk)
             self.catalog.record_chunk(name, chunk_id, destination)
         entry.bump_version()
-        return schedule_shuffle(transfers, self.network)
+        columns = np.array(rows, dtype=np.int64).reshape(-1, 4).T
+        return schedule_shuffle(TransferTable(*columns), self.network)
 
     def validate_integrity(self, name: str) -> list[str]:
         """Cross-check one array's catalog record against node storage.

@@ -10,13 +10,30 @@ send and receive simultaneously.
 This module simulates that protocol exactly, yielding the data-alignment
 phase duration plus per-node traffic totals. The simulation is
 deterministic: ties break by ascending sender id and queue order.
+
+The slices arrive as a :class:`TransferTable`: four integer columns
+(``src``, ``dst``, ``n_cells``, ``tag``), one row per slice, in queue
+order. Each sender's queue is split by destination; the sender keeps the
+heads of its non-empty destination queues in one list ordered by queue
+position, so the greedy pick is the first entry whose destination lock is
+free (head-of-line blocking may only take the first entry). After a pop
+the destination queue's next slice goes back into that list by
+``bisect.insort``. Locks and sender availability are lists indexed by
+node. The resulting :class:`ShuffleSchedule` holds the same columns in
+start order plus ``start`` and ``end``; :class:`Transfer` and
+:class:`TransferEvent` objects are built only when a caller asks for
+:attr:`ShuffleSchedule.events`.
 """
 
 from __future__ import annotations
 
-import heapq
+from bisect import insort
 from collections import deque
 from dataclasses import dataclass, field
+from heapq import heappop, heappush
+from typing import Sequence
+
+import numpy as np
 
 
 @dataclass(frozen=True)
@@ -31,8 +48,12 @@ class NetworkParams:
     bandwidth_cells_per_s: float = 200_000.0
     latency_s: float = 0.00002
 
-    def transfer_time(self, n_cells: int) -> float:
-        """Wall time to move one slice of ``n_cells`` over one link."""
+    def transfer_time(self, n_cells):
+        """Wall time to move one slice of ``n_cells`` over one link.
+
+        Accepts an integer or an integer array (one time per slice); both
+        round identically, element by element.
+        """
         return self.latency_s + n_cells / self.bandwidth_cells_per_s
 
 
@@ -61,64 +82,177 @@ class TransferEvent:
     end: float
 
 
-@dataclass
+class TransferTable:
+    """Slices to ship, one row each in queue order, as integer columns.
+
+    ``tag`` (the join unit or chunk id a slice belongs to) is optional;
+    without it the schedule's events carry ``tag=None``.
+    """
+
+    __slots__ = ("src", "dst", "n_cells", "tag")
+
+    def __init__(self, src, dst, n_cells, tag=None) -> None:
+        self.src = np.asarray(src, dtype=np.int64).reshape(-1)
+        self.dst = np.asarray(dst, dtype=np.int64).reshape(-1)
+        self.n_cells = np.asarray(n_cells, dtype=np.int64).reshape(-1)
+        self.tag = (
+            None if tag is None else np.asarray(tag, dtype=np.int64).reshape(-1)
+        )
+        n = len(self.src)
+        if len(self.dst) != n or len(self.n_cells) != n or (
+            self.tag is not None and len(self.tag) != n
+        ):
+            raise ValueError("transfer table columns differ in length")
+        if (self.src == self.dst).any():
+            raise ValueError("local slice assembly is not a network transfer")
+        if (self.n_cells < 0).any():
+            raise ValueError(f"negative transfer size {int(self.n_cells.min())}")
+        if n and min(int(self.src.min()), int(self.dst.min())) < 0:
+            raise ValueError("node ids must be non-negative")
+
+    @classmethod
+    def from_transfers(cls, transfers: Sequence[Transfer]) -> "TransferTable":
+        """Tabulate :class:`Transfer` objects (integer or all-``None`` tags)."""
+        tags = [t.tag for t in transfers]
+        return cls(
+            [t.src for t in transfers],
+            [t.dst for t in transfers],
+            [t.n_cells for t in transfers],
+            None if all(tag is None for tag in tags) else tags,
+        )
+
+    def __len__(self) -> int:
+        return len(self.src)
+
+    @property
+    def n_nodes(self) -> int:
+        """One past the highest node id the table names."""
+        if not len(self):
+            return 0
+        return int(max(self.src.max(), self.dst.max())) + 1
+
+
+def _first_seen_totals(nodes: np.ndarray, weights: np.ndarray) -> dict:
+    """Per-node sums of ``weights``, keyed in order of first appearance.
+
+    ``np.bincount`` adds the weights in row order, so each float total is
+    the same left-to-right sum an event-by-event loop would produce.
+    """
+    if not len(nodes):
+        return {}
+    totals = np.bincount(nodes, weights=weights)
+    seen, first = np.unique(nodes, return_index=True)
+    keys = seen[np.argsort(first)]
+    return dict(zip(keys.tolist(), totals[keys].tolist()))
+
+
+def _cell_totals(nodes: np.ndarray, n_cells: np.ndarray) -> dict:
+    """Integer per-node cell totals, keyed in order of first appearance."""
+    totals = _first_seen_totals(nodes, n_cells)
+    return {node: int(total) for node, total in totals.items()}
+
+
+@dataclass(eq=False)
 class ShuffleSchedule:
-    """The simulated outcome of one data-alignment phase."""
+    """The simulated outcome of one data-alignment phase.
+
+    One row per transfer, in start order: the moved slice's ``src``,
+    ``dst``, ``n_cells`` and ``tag`` (``None`` when the table had none)
+    plus its simulated ``start`` and ``end`` seconds.
+    """
 
     total_time: float
-    events: list[TransferEvent] = field(default_factory=list)
+    src: np.ndarray
+    dst: np.ndarray
+    n_cells: np.ndarray
+    tag: np.ndarray | None
+    start: np.ndarray
+    end: np.ndarray
     cells_sent: dict[int, int] = field(default_factory=dict)
     cells_received: dict[int, int] = field(default_factory=dict)
     #: Memoised derived views (busy times, exportable spans): schedules
     #: are immutable once built and get re-read on every traced or
     #: analyzed execution of a cached alignment.
-    _busy_cache: "tuple[dict, dict] | None" = field(
-        default=None, repr=False, compare=False
-    )
-    _span_cache: "list | None" = field(
-        default=None, repr=False, compare=False
-    )
-    _total_cells_cache: "int | None" = field(
-        default=None, repr=False, compare=False
-    )
+    _busy_cache: "tuple[dict, dict] | None" = field(default=None, repr=False)
+    _span_cache: "list | None" = field(default=None, repr=False)
+
+    @classmethod
+    def from_rows(
+        cls,
+        table: TransferTable,
+        rows: list[int],
+        starts: list[float],
+        ends: list[float],
+    ) -> "ShuffleSchedule":
+        """Gather the table's rows in start order into a schedule."""
+        index = np.asarray(rows, dtype=np.int64)
+        src, dst = table.src[index], table.dst[index]
+        n_cells = table.n_cells[index]
+        return cls(
+            total_time=max(ends, default=0.0),
+            src=src,
+            dst=dst,
+            n_cells=n_cells,
+            tag=None if table.tag is None else table.tag[index],
+            start=np.asarray(starts, dtype=np.float64),
+            end=np.asarray(ends, dtype=np.float64),
+            cells_sent=_cell_totals(src, n_cells),
+            cells_received=_cell_totals(dst, n_cells),
+        )
 
     @property
     def n_transfers(self) -> int:
-        return len(self.events)
+        return len(self.src)
 
     @property
     def total_cells_moved(self) -> int:
-        # Memoised like busy_seconds: schedules are immutable once
-        # built, re-read at least twice per execution (span attrs and
-        # the report), and can hold thousands of events.
-        if self._total_cells_cache is None:
-            self._total_cells_cache = sum(
-                e.transfer.n_cells for e in self.events
-            )
-        return self._total_cells_cache
+        return int(self.n_cells.sum())
+
+    @property
+    def events(self) -> list[TransferEvent]:
+        """The schedule as :class:`TransferEvent` objects, in start order.
+
+        Built on each access and not kept: the engine reads the columns,
+        this view is for tests and hand-written schedules.
+        """
+        return [
+            TransferEvent(Transfer(src, dst, cells, tag), start=start, end=end)
+            for src, dst, cells, tag, start, end in self._rows()
+        ]
+
+    def _rows(self):
+        """``(src, dst, n_cells, tag, start, end)`` per transfer, as
+        Python scalars, in start order."""
+        tags = (
+            [None] * self.n_transfers if self.tag is None else self.tag.tolist()
+        )
+        return zip(
+            self.src.tolist(),
+            self.dst.tolist(),
+            self.n_cells.tolist(),
+            tags,
+            self.start.tolist(),
+            self.end.tolist(),
+        )
 
     def busy_seconds(self) -> tuple[dict[int, float], dict[int, float]]:
-        """Per-node (send, receive) busy time summed over the events.
+        """Per-node (send, receive) busy time summed over the transfers.
 
         Busy time excludes lock waiting by construction — it is the
         quantity Equations 5-6 predict (cells × t), so explain-analyze
         compares it against the model; the schedule's ``total_time``
         additionally contains the waiting the model ignores.
         """
-        if self._busy_cache is not None:
-            return self._busy_cache
-        send_busy: dict[int, float] = {}
-        recv_busy: dict[int, float] = {}
-        for event in self.events:
-            elapsed = event.end - event.start
-            src, dst = event.transfer.src, event.transfer.dst
-            send_busy[src] = send_busy.get(src, 0.0) + elapsed
-            recv_busy[dst] = recv_busy.get(dst, 0.0) + elapsed
-        self._busy_cache = (send_busy, recv_busy)
+        if self._busy_cache is None:
+            elapsed = self.end - self.start
+            self._busy_cache = (
+                _first_seen_totals(self.src, elapsed),
+                _first_seen_totals(self.dst, elapsed),
+            )
         return self._busy_cache
 
     def export_spans(self, tracer, offset: float = 0.0) -> int:
-        """Emit every transfer event as a span on per-destination lanes.
+        """Emit every transfer as a span on per-destination lanes.
 
         The schedule's timestamps are *simulated* seconds starting at 0;
         ``offset`` (typically ``tracer.now()`` when the alignment phase
@@ -130,34 +264,31 @@ class ShuffleSchedule:
         The span objects are built once per schedule and handed to the
         tracer by reference with a deferred offset
         (:meth:`repro.obs.trace.Tracer.extend_rebased`), so a traced
-        execution pays O(1) here rather than one allocation per event —
+        execution pays O(1) here rather than one allocation per transfer —
         the schedules are cached across repeated executions and can hold
         thousands of transfers.
         """
-        if not getattr(tracer, "enabled", False) or not self.events:
+        if not getattr(tracer, "enabled", False) or not self.n_transfers:
             return 0
         if self._span_cache is None:
             from repro.obs.trace import Span
 
             self._span_cache = [
                 Span(
-                    name=f"xfer n{e.transfer.src}->n{e.transfer.dst}",
-                    start=e.start,
-                    end=e.end,
-                    path=(
-                        f"data_alignment/xfer "
-                        f"n{e.transfer.src}->n{e.transfer.dst}"
-                    ),
-                    lane=f"net:recv n{e.transfer.dst}",
+                    name=f"xfer n{src}->n{dst}",
+                    start=start,
+                    end=end,
+                    path=f"data_alignment/xfer n{src}->n{dst}",
+                    lane=f"net:recv n{dst}",
                     attrs={
-                        "src": e.transfer.src,
-                        "dst": e.transfer.dst,
-                        "cells": e.transfer.n_cells,
-                        "unit": e.transfer.tag,
+                        "src": src,
+                        "dst": dst,
+                        "cells": cells,
+                        "unit": tag,
                         "simulated": True,
                     },
                 )
-                for e in self.events
+                for src, dst, cells, tag, start, end in self._rows()
             ]
         tracer.extend_rebased(self._span_cache, offset)
         return len(self._span_cache)
@@ -174,14 +305,15 @@ SCHEDULE_POLICIES = ("greedy_lock", "head_of_line", "uncoordinated")
 
 
 def schedule_shuffle(
-    transfers: list[Transfer],
+    transfers: TransferTable | Sequence[Transfer],
     params: NetworkParams,
     policy: str = "greedy_lock",
 ) -> ShuffleSchedule:
     """Simulate a data-alignment shuffle under the chosen policy.
 
-    Invariants enforced by construction (and asserted in tests) for the
-    lock-based policies:
+    ``transfers`` is a :class:`TransferTable` or a sequence of
+    :class:`Transfer` objects (tabulated first). Invariants enforced by
+    construction (and asserted in tests) for the lock-based policies:
 
     - a sender has at most one outgoing transfer in flight;
     - a destination has at most one incoming transfer in flight
@@ -189,37 +321,59 @@ def schedule_shuffle(
     - under ``greedy_lock``, transfers from one sender start in an order
       consistent with the greedy skip-and-poll rule.
     """
-    if policy == "uncoordinated":
-        return _schedule_uncoordinated(transfers, params)
-    if policy not in ("greedy_lock", "head_of_line"):
+    if policy not in SCHEDULE_POLICIES:
         raise ValueError(
             f"unknown shuffle policy {policy!r}; expected one of "
             f"{SCHEDULE_POLICIES}"
         )
-    greedy = policy == "greedy_lock"
+    table = (
+        transfers
+        if isinstance(transfers, TransferTable)
+        else TransferTable.from_transfers(transfers)
+    )
+    if policy == "uncoordinated":
+        return _schedule_uncoordinated(table, params)
+    return _schedule_locked(table, params, greedy=policy == "greedy_lock")
 
-    # Each sender's queue, bucketed by destination: the greedy scan picks
-    # the earliest-queued slice whose destination lock is free, which only
-    # needs the head of each destination bucket — O(destinations) per
-    # start instead of O(queued slices). Queue positions preserve the
-    # original arrival order so ties and the skip-and-poll rule resolve
-    # exactly as the straight queue walk did.
-    by_src: dict[int, dict[int, deque[tuple[int, Transfer]]]] = {}
-    pending: dict[int, int] = {}
-    for position, transfer in enumerate(transfers):
-        buckets = by_src.setdefault(transfer.src, {})
-        buckets.setdefault(transfer.dst, deque()).append((position, transfer))
-        pending[transfer.src] = pending.get(transfer.src, 0) + 1
-    senders = sorted(by_src)
 
-    sender_free: dict[int, float] = {src: 0.0 for src in by_src}
-    lock_free: dict[int, float] = {}
-    events: list[TransferEvent] = []
-    cells_sent: dict[int, int] = {}
-    cells_received: dict[int, int] = {}
+def _schedule_locked(
+    table: TransferTable,
+    params: NetworkParams,
+    greedy: bool,
+) -> ShuffleSchedule:
+    """The write-lock protocol, with or without the greedy skip rule."""
+    n = len(table)
+    n_nodes = table.n_nodes
+    src = table.src.tolist()
+    dst = table.dst.tolist()
+    duration = params.transfer_time(table.n_cells).tolist()
+
+    # Destination queues: rows grouped by (sender, destination), queue
+    # order kept within a group. ``successor[row]`` is the next row of
+    # the same queue (-1 at its tail); each sender's ``ready`` list holds
+    # its queues' heads, ascending by queue position.
+    grouped = np.lexsort((table.dst, table.src))
+    same_queue = (table.src[grouped[1:]] == table.src[grouped[:-1]]) & (
+        table.dst[grouped[1:]] == table.dst[grouped[:-1]]
+    )
+    successor = np.full(n, -1, dtype=np.int64)
+    successor[grouped[:-1][same_queue]] = grouped[1:][same_queue]
+    successor = successor.tolist()
+    ready: list[list[int]] = [[] for _ in range(n_nodes)]
+    if n:
+        heads = np.sort(grouped[np.r_[True, ~same_queue]])
+        for row in heads.tolist():
+            ready[src[row]].append(row)
+    senders = [node for node in range(n_nodes) if ready[node]]
+
+    sender_free = [0.0] * n_nodes
+    lock_free = [0.0] * n_nodes
+    rows: list[int] = []
+    starts: list[float] = []
+    ends: list[float] = []
 
     now = 0.0
-    remaining = sum(pending.values())
+    remaining = n
     #: min-heap of times a sender or a destination lock frees up — the
     #: only instants at which a blocked transfer can become startable.
     wakeups: list[float] = []
@@ -232,62 +386,49 @@ def schedule_shuffle(
         progressed = True
         while progressed and remaining:
             progressed = False
-            for src in senders:
-                if not pending[src] or sender_free[src] > now:
+            for sender in senders:
+                if sender_free[sender] > now:
                     continue
-                buckets = by_src[src]
-                head = None  # overall queue head: (position, dst)
-                best = None  # earliest queued slice with a free lock
-                for dst, bucket in buckets.items():
-                    if not bucket:
+                queue = ready[sender]
+                if not queue:
+                    continue
+                if greedy:
+                    # The earliest-queued slice whose lock is free.
+                    for index, row in enumerate(queue):
+                        if lock_free[dst[row]] <= now:
+                            break
+                    else:
                         continue
-                    position = bucket[0][0]
-                    if head is None or position < head[0]:
-                        head = (position, dst)
-                    if lock_free.get(dst, 0.0) <= now and (
-                        best is None or position < best[0]
-                    ):
-                        best = (position, dst)
-                if not greedy:
+                else:
                     # Head-of-line: only the queue head is eligible.
-                    best = best if best is not None and best == head else None
-                if best is None:
-                    continue
-                _, dst = best
-                _, transfer = buckets[dst].popleft()
-                pending[src] -= 1
-                end = now + params.transfer_time(transfer.n_cells)
-                sender_free[src] = end
-                lock_free[dst] = end
-                heapq.heappush(wakeups, end)
-                events.append(TransferEvent(transfer, start=now, end=end))
-                cells_sent[src] = cells_sent.get(src, 0) + transfer.n_cells
-                cells_received[dst] = (
-                    cells_received.get(dst, 0) + transfer.n_cells
-                )
+                    index, row = 0, queue[0]
+                    if lock_free[dst[row]] > now:
+                        continue
+                del queue[index]
+                if successor[row] >= 0:
+                    insort(queue, successor[row])
+                end = now + duration[row]
+                sender_free[sender] = end
+                lock_free[dst[row]] = end
+                heappush(wakeups, end)
+                rows.append(row)
+                starts.append(now)
+                ends.append(end)
                 remaining -= 1
                 if end <= now:
                     progressed = True
         if remaining:
             # Every ready sender is blocked on write locks (or busy):
             # advance to the next moment a sender or a lock frees up.
-            while wakeups and wakeups[0] <= now:
-                heapq.heappop(wakeups)
-            if not wakeups:  # pragma: no cover - defensive
-                raise RuntimeError("shuffle schedule deadlocked")
-            now = heapq.heappop(wakeups)
+            while wakeups[0] <= now:
+                heappop(wakeups)
+            now = heappop(wakeups)
 
-    total = max((e.end for e in events), default=0.0)
-    return ShuffleSchedule(
-        total_time=total,
-        events=events,
-        cells_sent=cells_sent,
-        cells_received=cells_received,
-    )
+    return ShuffleSchedule.from_rows(table, rows, starts, ends)
 
 
 def _schedule_uncoordinated(
-    transfers: list[Transfer],
+    table: TransferTable,
     params: NetworkParams,
 ) -> ShuffleSchedule:
     """Fluid simulation of lock-free shuffling.
@@ -299,25 +440,26 @@ def _schedule_uncoordinated(
     transfer completes — the congestion picture the write lock exists to
     avoid (Section 3.4).
     """
-    queues: dict[int, deque[Transfer]] = {}
-    for transfer in transfers:
-        queues.setdefault(transfer.src, deque()).append(transfer)
+    src = table.src.tolist()
+    dst = table.dst.tolist()
+    n_cells = table.n_cells.tolist()
+    queues: dict[int, deque[int]] = {}
+    for row, sender in enumerate(src):
+        queues.setdefault(sender, deque()).append(row)
 
-    active: list[list] = []  # [transfer, remaining_cells, start]
-    events: list[TransferEvent] = []
-    cells_sent: dict[int, int] = {}
-    cells_received: dict[int, int] = {}
+    active: list[list] = []  # [row, remaining_cells, start]
+    rows: list[int] = []
+    starts: list[float] = []
+    ends: list[float] = []
     now = 0.0
 
     def launch_ready() -> None:
-        for src in sorted(queues):
-            queue = queues[src]
-            busy = any(entry[0].src == src for entry in active)
+        for sender in sorted(queues):
+            queue = queues[sender]
+            busy = any(src[entry[0]] == sender for entry in active)
             if queue and not busy:
-                transfer = queue.popleft()
-                active.append(
-                    [transfer, float(transfer.n_cells), now + params.latency_s]
-                )
+                row = queue.popleft()
+                active.append([row, float(n_cells[row]), now + params.latency_s])
 
     launch_ready()
     while active or any(queues.values()):
@@ -326,45 +468,31 @@ def _schedule_uncoordinated(
             continue
         # Fair-share rates per receiver.
         fan_in: dict[int, int] = {}
-        for transfer, _, _ in active:
-            fan_in[transfer.dst] = fan_in.get(transfer.dst, 0) + 1
+        for row, _, _ in active:
+            fan_in[dst[row]] = fan_in.get(dst[row], 0) + 1
         rates = [
-            params.bandwidth_cells_per_s / fan_in[transfer.dst]
-            for transfer, _, _ in active
+            params.bandwidth_cells_per_s / fan_in[dst[row]]
+            for row, _, _ in active
         ]
         # Next completion time (latency counts as zero-rate lead-in).
         completions = []
-        for (transfer, remaining, start), rate in zip(active, rates):
+        for (row, remaining, start), rate in zip(active, rates):
             lead_in = max(start - now, 0.0)
             completions.append(lead_in + remaining / rate)
         step = min(completions)
         now += step
         still_active = []
-        for index, ((transfer, remaining, start), rate) in enumerate(
-            zip(active, rates)
-        ):
+        for (row, remaining, start), rate in zip(active, rates):
             lead_in = max(start - (now - step), 0.0)
             effective = max(step - lead_in, 0.0)
             remaining -= effective * rate
             if remaining <= 1e-9:
-                events.append(
-                    TransferEvent(transfer, start=start, end=now)
-                )
-                cells_sent[transfer.src] = (
-                    cells_sent.get(transfer.src, 0) + transfer.n_cells
-                )
-                cells_received[transfer.dst] = (
-                    cells_received.get(transfer.dst, 0) + transfer.n_cells
-                )
+                rows.append(row)
+                starts.append(start)
+                ends.append(now)
             else:
-                still_active.append([transfer, remaining, start])
+                still_active.append([row, remaining, start])
         active[:] = still_active
         launch_ready()
 
-    total = max((e.end for e in events), default=0.0)
-    return ShuffleSchedule(
-        total_time=total,
-        events=events,
-        cells_sent=cells_sent,
-        cells_received=cells_received,
-    )
+    return ShuffleSchedule.from_rows(table, rows, starts, ends)

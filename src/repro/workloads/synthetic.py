@@ -248,9 +248,7 @@ def skewed_hash_pair(
         # Coordinates: random positions inside each cell's chunk (collisions
         # in coordinate space are acceptable for A:A workloads — the join
         # ignores coordinates).
-        corners = np.array(
-            [schema.chunk_corner(c) for c in range(n_chunks)], dtype=np.int64
-        )
+        corners = schema.chunk_corners(np.arange(n_chunks))
         offsets = rng.integers(0, chunk_interval, size=(total, 2))
         coords = corners[chunk_of_cell] + offsets
         v1 = key_ids[key_of_cell]

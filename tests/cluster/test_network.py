@@ -2,12 +2,14 @@
 
 from collections import deque
 
+import numpy as np
 import pytest
 
 from repro.cluster.network import (
     NetworkParams,
     Transfer,
     TransferEvent,
+    TransferTable,
     schedule_shuffle,
 )
 
@@ -199,34 +201,124 @@ def _reference_locked_schedule(transfers, params, greedy):
     return events
 
 
+def _random_transfers(rng, n, n_nodes, max_cells):
+    transfers = []
+    for _ in range(n):
+        src, dst = rng.choice(n_nodes, size=2, replace=False)
+        # Include zero-size slices: with zero latency they complete
+        # instantly, the hardest case for event bookkeeping.
+        transfers.append(
+            Transfer(int(src), int(dst), int(rng.integers(0, max_cells)))
+        )
+    return transfers
+
+
+def _assert_same_schedule(actual, expected):
+    """Same transfers in the same order, bit-identical starts and ends."""
+    assert [e.transfer for e in actual.events] == [
+        e.transfer for e in expected
+    ]
+    assert [e.start for e in actual.events] == [e.start for e in expected]
+    assert [e.end for e in actual.events] == [e.end for e in expected]
+    assert actual.total_time == max((e.end for e in expected), default=0.0)
+
+
 class TestEventDrivenEquivalence:
     @pytest.mark.parametrize("policy", ["greedy_lock", "head_of_line"])
     @pytest.mark.parametrize("latency", [0.0, 0.01])
     @pytest.mark.parametrize("seed", range(6))
     def test_matches_reference_schedule(self, policy, latency, seed):
-        import numpy as np
-
         rng = np.random.default_rng(seed)
-        n = int(rng.integers(1, 80))
-        transfers = []
-        for _ in range(n):
-            src, dst = rng.choice(8, size=2, replace=False)
-            # Include zero-size slices: with zero latency they complete
-            # instantly, the hardest case for event bookkeeping.
-            transfers.append(
-                Transfer(int(src), int(dst), int(rng.integers(0, 60)))
-            )
+        transfers = _random_transfers(rng, int(rng.integers(1, 80)), 8, 60)
         params = NetworkParams(bandwidth_cells_per_s=500.0, latency_s=latency)
         expected = _reference_locked_schedule(
             transfers, params, greedy=policy == "greedy_lock"
         )
-        actual = schedule_shuffle(transfers, params, policy=policy)
-        assert [e.transfer for e in actual.events] == [
-            e.transfer for e in expected
+        _assert_same_schedule(
+            schedule_shuffle(transfers, params, policy=policy), expected
+        )
+
+    @pytest.mark.parametrize("policy", ["greedy_lock", "head_of_line"])
+    def test_matches_reference_on_a_large_zero_latency_shuffle(self, policy):
+        # 2,000 slices over 12 nodes, about one in eight of them empty:
+        # deep per-destination queues, long lock chains, and many
+        # zero-length transfers that free their sender at the same instant.
+        rng = np.random.default_rng(42)
+        transfers = _random_transfers(rng, 2_000, 12, 8)
+        assert sum(t.n_cells == 0 for t in transfers) > 150
+        params = NetworkParams(bandwidth_cells_per_s=500.0, latency_s=0.0)
+        expected = _reference_locked_schedule(
+            transfers, params, greedy=policy == "greedy_lock"
+        )
+        _assert_same_schedule(
+            schedule_shuffle(transfers, params, policy=policy), expected
+        )
+
+    def test_table_and_transfer_objects_schedule_alike(self):
+        rng = np.random.default_rng(3)
+        transfers = [
+            Transfer(t.src, t.dst, t.n_cells, tag=i)
+            for i, t in enumerate(_random_transfers(rng, 300, 6, 40))
         ]
-        assert [e.start for e in actual.events] == pytest.approx(
-            [e.start for e in expected]
+        table = TransferTable(
+            [t.src for t in transfers],
+            [t.dst for t in transfers],
+            [t.n_cells for t in transfers],
+            tag=np.arange(len(transfers)),
         )
-        assert [e.end for e in actual.events] == pytest.approx(
-            [e.end for e in expected]
-        )
+        from_objects = schedule_shuffle(transfers, PARAMS)
+        from_table = schedule_shuffle(table, PARAMS)
+        _assert_same_schedule(from_table, from_objects.events)
+        assert from_table.cells_sent == from_objects.cells_sent
+        assert from_table.busy_seconds() == from_objects.busy_seconds()
+
+
+class TestTransferTable:
+    def test_rejects_self_transfer_anywhere_in_the_table(self):
+        with pytest.raises(ValueError, match="not a network transfer"):
+            TransferTable([0, 1, 2], [1, 1, 0], [5, 5, 5])
+
+    def test_rejects_negative_size_anywhere_in_the_table(self):
+        with pytest.raises(ValueError, match="negative transfer size -3"):
+            TransferTable([0, 1, 2], [1, 2, 0], [5, -3, 5])
+
+    def test_rejects_ragged_columns(self):
+        with pytest.raises(ValueError, match="differ in length"):
+            TransferTable([0, 1], [1, 2, 0], [5, 5, 5])
+
+    def test_untagged_events_carry_none(self):
+        schedule = schedule_shuffle(TransferTable([0], [1], [10]), PARAMS)
+        assert schedule.events[0].transfer == Transfer(0, 1, 10)
+        assert schedule.tag is None
+
+
+class TestScheduleColumns:
+    def test_totals_keep_first_seen_order(self):
+        transfers = [
+            Transfer(3, 0, 10),
+            Transfer(1, 2, 20),
+            Transfer(3, 2, 30),
+            Transfer(0, 1, 40),
+        ]
+        schedule = schedule_shuffle(transfers, PARAMS)
+        started = [e.transfer for e in schedule.events]
+        senders = list(dict.fromkeys(t.src for t in started))
+        receivers = list(dict.fromkeys(t.dst for t in started))
+        assert list(schedule.cells_sent) == senders
+        assert list(schedule.cells_received) == receivers
+        assert schedule.cells_sent == {3: 40, 1: 20, 0: 40}
+        assert schedule.cells_received == {0: 10, 2: 50, 1: 40}
+        assert all(type(v) is int for v in schedule.cells_sent.values())
+
+    def test_busy_seconds_sum_in_start_order(self):
+        rng = np.random.default_rng(8)
+        schedule = schedule_shuffle(_random_transfers(rng, 200, 5, 90), PARAMS)
+        send, recv = {}, {}
+        for event in schedule.events:
+            elapsed = event.end - event.start
+            src, dst = event.transfer.src, event.transfer.dst
+            send[src] = send.get(src, 0.0) + elapsed
+            recv[dst] = recv.get(dst, 0.0) + elapsed
+        assert schedule.busy_seconds() == (send, recv)
+        assert list(schedule.busy_seconds()[0]) == list(send)
+        assert list(schedule.busy_seconds()[1]) == list(recv)
